@@ -19,7 +19,8 @@ match is verified on the full key.  Records come out lexicographically in
 The widest level has 3(n-1)(2(n-1))^(⌈B/2⌉-1) rows for three factors of
 order n; a search over ``MAX_HALF_WORDS`` is refused before anything is
 allocated.  Results are cached per (table bytes, bound) key, which
-de-duplicates work across subgroup triples with the same local tables.
+de-duplicates work across subgroup triples with the same local tables; the
+cache keeps at most ``MAX_CACHE_BYTES`` of records, dropping the oldest.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FinAlgebra, Subuniverse, ValidationError
+from .core import Subuniverse, ValidationError
 
-__all__ = ["ternary_kernel_words", "ternary_kernel_elements",
-           "iter_word_records"]
+__all__ = ["ternary_kernel_words", "iter_word_records"]
 
 # Rows allowed in the widest half-word level: 8 bytes each, plus transient
 # join buffers of about twice that.
@@ -210,6 +210,10 @@ def _search(tab: _Tables, max_len: int) -> np.ndarray:
     return recs[np.arange(recs.shape[1]) < 1 + 2 * recs[:, :1]]
 
 
+# Record bytes the word cache keeps, oldest dropped first.  The 233
+# searches of a sweep over all subgroup triples of D4 and Q8 plus cold
+# searches up to factor orders (8, 8, 16), at bound 10, keep about 35 MB.
+MAX_CACHE_BYTES = 1 << 26
 _WORD_CACHE: dict = {}
 
 
@@ -258,6 +262,9 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
         _Tables(mul, inv, np.asarray(sizes), xbits), int(max_len))
     result.setflags(write=False)
     _WORD_CACHE[key] = result
+    held = sum(buf.nbytes for buf in _WORD_CACHE.values())
+    while held > MAX_CACHE_BYTES:
+        held -= _WORD_CACHE.pop(next(iter(_WORD_CACHE))).nbytes
     return result
 
 
@@ -269,25 +276,3 @@ def iter_word_records(buf: np.ndarray):
         length = int(buf[pos])
         yield length, buf[pos + 1: pos + 1 + 2 * length]
         pos += 1 + 2 * length
-
-
-def ternary_kernel_elements(parent: FinAlgebra,
-                            subs: tuple[Subuniverse, Subuniverse, Subuniverse],
-                            max_len: int) -> set[int]:
-    """Evaluations in ``parent`` of all kernel words up to the bound.
-
-    Each subgroup's local elements are mapped back through its member list
-    and folded with the parent multiplication.
-    """
-    for s in subs:
-        if s.parent is not parent:
-            raise ValidationError("subgroups must live in the target algebra")
-    to_parent = [np.asarray(s.members, dtype=np.int64) for s in subs]
-    mul = parent.tables["mul"]
-    found = {parent.basepoint}
-    for _, rec in iter_word_records(ternary_kernel_words(subs, max_len)):
-        val = parent.basepoint
-        for f, x in rec.reshape(-1, 2):
-            val = int(mul[val, to_parent[f][x]])
-        found.add(val)
-    return found

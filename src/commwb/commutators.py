@@ -242,22 +242,6 @@ def _require_group_signature(D: FinAlgebra, what: str) -> None:
             f"{what} needs a group-shaped signature (mul/2, inv/1)")
 
 
-def _normal_closure_in(D: FinAlgebra, ambient: np.ndarray,
-                       seeds) -> Subuniverse:
-    """Subgroup generated by ``seeds`` and closed under conjugation by
-    every element of ``ambient``."""
-    mul, inv = D.tables["mul"], D.tables["inv"]
-    amb = np.asarray(ambient, dtype=np.int64)
-    X = generate_subuniverse(D, seeds)
-    while True:
-        xs = np.asarray(X.members, dtype=np.int64)
-        conj = mul[mul[amb[:, None], xs[None, :]], inv[amb][:, None]]
-        extra = set(int(v) for v in np.unique(conj)) - set(X.members)
-        if not extra:
-            return X
-        X = generate_subuniverse(D, set(X.members) | extra)
-
-
 def _double_bracket_grid(D: FinAlgebra, A: np.ndarray, B: np.ndarray,
                          C: np.ndarray) -> np.ndarray:
     """Grid of [[a, b], c] over A x B x C (group commutator twice)."""
@@ -294,7 +278,12 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
                     ("bracket", shape,
                      (int(A[ia]), int(B[ib]), int(C[ic])),
                      int(grid[ia, ib, ic])))
-    result = _normal_closure_in(D, np.asarray(join.members), seeds)
+    # the normal closure of the seeds in the join: the subgroup generated
+    # by their conjugates j·s·j⁻¹ over every j in the join
+    mul, inv = D.tables["mul"], D.tables["inv"]
+    j, s = np.asarray(join.members), np.asarray(sorted(seeds))
+    result = generate_subuniverse(
+        D, np.unique(mul[mul[j[:, None], s[None, :]], inv[j][:, None]]))
     return CommutatorReport(result, "group-fast", complete=True,
                             witnesses=tuple(witnesses))
 

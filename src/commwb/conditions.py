@@ -34,11 +34,10 @@ from .core import (
     SpanWitness,
     Subuniverse,
     ValidationError,
+    _closure,
     check_hom,
-    generate_subuniverse,
     image_sub,
     kernel_sub,
-    product,
     pullback,
     pullback_congruence,
     pullback_point,
@@ -73,7 +72,6 @@ __all__ = [
 
 REFLECTION_MODES = ("points", "basic")
 _WITNESS_CAP = 12
-_EXPLAIN_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +132,10 @@ class AdmissibleDiagram:
 class AdmissibilityConflict:
     """Two incompatible values forced on one pullback element.
 
-    ``derivations`` explains how each value was reached: a seed record
-    ("seed-e1", a) or ("seed-e2", c), a one-step record
-    (op_name, ((q, d), ...)) combining already-derived pairs, or
-    ("derived",) when no one-step explanation was found within budget.
+    ``derivations`` explains how each value was first reached: a seed
+    record ("seed-e1", a) or ("seed-e2", c), or a one-step record
+    (op_name, ((q, d), ...)) combining already-derived pairs (no pairs
+    for the basepoint operation).
     ``involved`` lists every pullback element appearing in the two
     derivations, the conflicting element included.
     """
@@ -203,120 +201,44 @@ def kernel_images(d: AdmissibleDiagram) -> tuple[Subuniverse, Subuniverse]:
     return X, Y
 
 
-def _seed_records(d: AdmissibleDiagram, square: SpanWitness, nd: int):
-    e1, e2 = square.induced["e1"], square.induced["e2"]
-    seeds: dict[int, tuple] = {}
-    for a in range(d.f.dom.size):
-        seeds.setdefault(int(e1.map[a]) * nd + int(d.alpha.map[a]),
-                         ("seed-e1", a))
-    for c in range(d.g.dom.size):
-        seeds.setdefault(int(e2.map[c]) * nd + int(d.gamma.map[c]),
-                         ("seed-e2", c))
-    return seeds
-
-
-def _conflict_involved(element: int, derivations) -> tuple[int, ...]:
-    involved = {int(element)}
-    for der in derivations:
-        if der and der[0] not in ("seed-e1", "seed-e2", "derived"):
-            involved.update(int(q) for q, _ in der[1])
-    return tuple(sorted(involved))
-
-
-def _first_conflict(d: AdmissibleDiagram, square: SpanWitness
-                    ) -> AdmissibilityConflict | None:
-    """Replay the fill-in closure pair by pair and stop at the first
-    moment two values are forced on one pullback element.
-
-    Rounds apply every operation to every argument combination of the
-    pairs known at the round's start, in signature and insertion order,
-    so the reported conflict is the chronologically earliest one and its
-    derivation names the pairs that actually clashed.
-    """
-    P = square.carrier
-    D = d.target
-    nd = D.size
-    value: dict[int, int] = {}
-    prov: dict[int, tuple] = {}
-
-    def also(p: int, dd: int, der) -> AdmissibilityConflict | None:
-        known = value.get(p)
-        if known is None:
-            value[p] = dd
-            prov[p] = der
-            return None
-        if known == dd:
-            return None
-        ders = (prov[p], der)
-        return AdmissibilityConflict(
-            element=p, values=(known, dd), derivations=ders,
-            involved=_conflict_involved(p, ders))
-
-    for key, der in _seed_records(d, square, nd).items():
-        hit = also(key // nd, key % nd, der)
-        if hit is not None:
-            return hit
-
-    budget = _EXPLAIN_BUDGET
-    while True:
-        snapshot = sorted(value.items())
-        before = len(value)
-        for op, k in P.signature.ops:
-            if k == 0:
-                continue
-            tP, tD = P.tables[op], D.tables[op]
-            if k == 1:
-                for q, e in snapshot:
-                    hit = also(int(tP[q]), int(tD[e]), (op, ((q, e),)))
-                    if hit is not None:
-                        return hit
-                budget -= len(snapshot)
-            elif k == 2:
-                for q1, e1 in snapshot:
-                    for q2, e2 in snapshot:
-                        hit = also(int(tP[q1, q2]), int(tD[e1, e2]),
-                                   (op, ((q1, e1), (q2, e2))))
-                        if hit is not None:
-                            return hit
-                budget -= len(snapshot) ** 2
-            else:
-                budget = -1
-            if budget < 0:
-                return None
-        if len(value) == before:
-            return None
-
-
 def admissible(d: AdmissibleDiagram) -> AdmissibleOutcome:
     """Search for the unique fill-in phi on the pullback of f and g.
 
     Closes the relation {(e1(a), alpha(a))} ∪ {(e2(c), gamma(c))} inside
     (A ×_B C) × D under all operations.  A total functional closure is
     returned as a validated hom with phi∘e1 = alpha and phi∘e2 = gamma;
-    a multi-valued closure yields a conflict explaining both values.
+    a multi-valued closure yields the conflict that a pair-by-pair replay
+    of the closure meets first, with the first derivation of both values.
     A single-valued but partial closure means the instance is not
     congruence-permutable and raises.
     """
     square = pullback(d.f, d.g, d.r, d.s)
     P = square.carrier
     D = d.target
-    nd = D.size
     e1, e2 = square.induced["e1"], square.induced["e2"]
-    seed_keys = np.concatenate([
-        e1.map * nd + d.alpha.map, e2.map * nd + d.gamma.map])
-    closure = generate_subuniverse(product(P, D).carrier, seed_keys)
-    mem = np.asarray(closure.members, dtype=np.int64)
-    ps, ds = mem // nd, mem % nd
+    seeds = np.concatenate([np.stack([e1.map, d.alpha.map], axis=1),
+                            np.stack([e2.map, d.gamma.map], axis=1)])
+    rows, how = _closure((P, D), seeds, derivations=True)
+    ps, ds = rows[:, 0], rows[:, 1]
 
-    dup = np.nonzero(ps[1:] == ps[:-1])[0]
-    if len(dup):
-        conflict = _first_conflict(d, square)
-        if conflict is None:
-            i = int(dup[0])
-            ders = (("derived",), ("derived",))
-            conflict = AdmissibilityConflict(
-                element=int(ps[i]), values=(int(ds[i]), int(ds[i + 1])),
-                derivations=ders, involved=(int(ps[i]),))
+    if (ps[1:] == ps[:-1]).any():
+        # the replay meets the element whose second value is derived first
+        values: dict[int, list[int]] = {}
+        for i in sorted(range(len(ps)), key=lambda i: how[i][0]):
+            values.setdefault(int(ps[i]), []).append(i)
+            if len(values[int(ps[i])]) == 2:
+                break
+        element = int(ps[i])
+        first, second = values[element]
+        na = d.f.dom.size
+        ders = tuple((op, args) if op is not None else ("seed-e1", args)
+                     if args < na else ("seed-e2", args - na)
+                     for _, op, args in (how[first], how[second]))
+        involved = {element}.union(*((q for q, _ in args) for op, args in ders
+                                     if op not in ("seed-e1", "seed-e2")))
+        conflict = AdmissibilityConflict(
+            element=element, values=(int(ds[first]), int(ds[second])),
+            derivations=ders, involved=tuple(sorted(involved)))
         return AdmissibleOutcome(phi=None, conflict=conflict, square=square)
 
     if len(ps) < P.size:

@@ -2,9 +2,12 @@
 
 Everything downstream (commutators, condition checkers) reduces to the
 machinery here: subuniverse and congruence generation, products, quotients,
-pullbacks, kernels.  Elements are dense indices 0..n-1; the basepoint is the
-value of the signature's designated nullary operation (identity element for
-groups, top for Heyting semilattices) -- explicit data, never a convention.
+pullbacks, kernels.  One closure engine, ``_closure``, computes every
+generated subalgebra: subuniverses, power closures in ``D^m`` and, for the
+fill-in search, relations in a product of two algebras.  Elements are dense
+indices 0..n-1; the basepoint is the value of the signature's designated
+nullary operation (identity element for groups, top for Heyting
+semilattices) -- explicit data, never a convention.
 
 All values are immutable after construction and freely shareable; each
 operation is a pure function.
@@ -12,6 +15,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -50,6 +54,11 @@ __all__ = [
     "pullback_congruence",
     "power_closure",
 ]
+
+# Rows allowed in the product a closure runs in: its membership bitmap
+# takes one byte per row, before any row is found.
+MAX_CLOSURE_KEYS = 1 << 24
+_CHUNK = 1 << 18      # candidate rows evaluated at once
 
 
 class ValidationError(ValueError):
@@ -209,21 +218,22 @@ class Subuniverse:
         mem = tuple(sorted(set(int(x) for x in self.members)))
         object.__setattr__(self, "members", mem)
         n = self.parent.size
-        if any(not 0 <= x < n for x in mem):
+        if mem and (mem[0] < 0 or mem[-1] >= n):
             raise ValidationError("member out of range")
         if self.parent.basepoint not in mem:
             raise ValidationError("subuniverse must contain the basepoint")
         inside = np.zeros(n, dtype=bool)
-        inside[list(mem)] = True
         arr = np.asarray(mem)
+        inside[arr] = True
         for op, k in self.parent.signature.ops:
-            table = self.parent.tables[op]
-            vals = table[()] if k == 0 else table[np.ix_(*([arr] * k))]
-            if not np.all(inside[np.atleast_1d(vals)]):
-                bad = np.atleast_1d(vals)[~inside[np.atleast_1d(vals)]][0]
+            # every argument tuple over the members, as a broadcast grid
+            vals = self.parent.tables[op][tuple(
+                arr.reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k))]
+            escaped = vals[~inside[vals]]
+            if escaped.size:
                 raise ValidationError(
-                    f"not closed under {op!r} (escapes to {int(bad)})",
-                    witness=(op, int(bad)))
+                    f"not closed under {op!r} (escapes to {int(escaped[0])})",
+                    witness=(op, int(escaped[0])))
 
     def __contains__(self, i: int) -> bool:
         return int(i) in set(self.members)
@@ -430,25 +440,12 @@ class PulledPoint:
 
 def generate_subuniverse(algebra: FinAlgebra, gens: Iterable[int]) -> Subuniverse:
     """Least subuniverse containing ``gens`` and the basepoint."""
-    n = algebra.size
-    members = {algebra.basepoint}
+    gens = [int(g) for g in gens]
     for g in gens:
-        g = int(g)
-        if not 0 <= g < n:
+        if not 0 <= g < algebra.size:
             raise ValidationError(f"generator {g} out of range")
-        members.add(g)
-    while True:
-        arr = np.asarray(sorted(members))
-        new: set[int] = set()
-        for op, k in algebra.signature.ops:
-            if k == 0:
-                continue
-            vals = algebra.tables[op][np.ix_(*([arr] * k))]
-            new.update(int(v) for v in np.unique(vals))
-        if new <= members:
-            break
-        members |= new
-    return Subuniverse(algebra, tuple(sorted(members)))
+    rows = _closure((algebra,), np.asarray(gens, dtype=np.int64)[:, None])
+    return Subuniverse(algebra, tuple(rows[:, 0].tolist()))
 
 
 def generate_congruence(algebra: FinAlgebra,
@@ -721,69 +718,159 @@ def pullback_congruence(f: Hom, theta: Congruence) -> Congruence:
 def power_closure(algebra: FinAlgebra, seeds: Iterable[Sequence[int]],
                   width: Optional[int] = None) -> np.ndarray:
     """Subalgebra of algebra^m generated by ``seeds``, as a (count, m) array
-    of componentwise tuples in encoded-key order.
-
-    Componentwise tables are never materialized; closure proceeds by batch
-    index arithmetic (new x all and all x new for binary operations).
-    """
+    of componentwise tuples in encoded-key order."""
     seeds = [tuple(int(x) for x in t) for t in seeds]
     if width is None:
         if not seeds:
             raise ValidationError("power_closure needs seeds or a width")
         width = len(seeds[0])
-    m = width
-    n = algebra.size
-    if any(len(t) != m for t in seeds):
+    if any(len(t) != width for t in seeds):
         raise ValidationError("seed width mismatch")
-    total = n ** m
-    powers = np.array([n ** i for i in reversed(range(m))], dtype=np.int64)
+    if any(not 0 <= x < algebra.size for t in seeds for x in t):
+        raise ValidationError("seed out of range")
+    return _closure((algebra,) * width,
+                    np.asarray(seeds, dtype=np.int64).reshape(-1, width))
 
-    def encode(arr: np.ndarray) -> np.ndarray:
-        return arr @ powers
 
-    def decode(keys: np.ndarray) -> np.ndarray:
-        out = np.empty((len(keys), m), dtype=np.int64)
-        rem = keys.copy()
-        for i in range(m):
-            out[:, i] = rem // powers[i]
-            rem = rem % powers[i]
-        return out
+def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
+             derivations: bool = False):
+    """Subalgebra of A1 x ... x Am generated by the rows ``seeds`` (inside
+    the product) and the constants, as a (count, m) array of rows in key
+    order; a row's key is its mixed-radix index, first coordinate first.
 
-    visited = np.zeros(total, dtype=bool)
-    bp_tuple = np.asarray([[algebra.basepoint] * m], dtype=np.int64)
-    start = np.concatenate([np.asarray(seeds, dtype=np.int64), bp_tuple]) \
-        if seeds else bp_tuple
-    keys = np.unique(encode(start))
-    visited[keys] = True
-    frontier = keys
+    Semi-naive: round r applies each k-ary operation only to argument
+    tuples holding a row found in round r-1.  For argument position i,
+    positions before i take older rows, position i a new row and positions
+    after i any row, so every such tuple is evaluated once.  Membership is
+    one byte per key, and candidates are marked about ``_CHUNK`` at a time
+    (with derivations, all of one operation's in a round at once).
 
-    unary = [algebra.tables[op] for op, k in algebra.signature.ops if k == 1]
-    binary = [algebra.tables[op] for op, k in algebra.signature.ops if k == 2]
-    higher = [(algebra.tables[op], k)
-              for op, k in algebra.signature.ops if k >= 3]
+    With ``derivations`` it also returns each row's first derivation in
+    the order (round, operation in signature order, argument positions in
+    the sorted rows at the round's start), as ``(when, op, args)``: op
+    None and the index of a seed row (round 0 holds the seeds, then the
+    constants), or an operation name and its argument rows.
+    """
+    for other in factors[1:]:
+        _check_same_signature(factors[0], other)
+    sizes = [a.size for a in factors]
+    total = math.prod(sizes)
+    if total > MAX_CLOSURE_KEYS:
+        raise ValidationError(
+            f"closure over a product of {total:,} rows (factor orders"
+            f" {tuple(sizes)}) is above the limit of {MAX_CLOSURE_KEYS:,}")
+    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+    digits = np.asarray([strides, sizes])
+    sig = factors[0].signature.ops
+    consts = [(op, sum(st * int(a.tables[op][()])
+                       for st, a in zip(strides, factors)))
+              for op, k in sig if k == 0]
+    start = (seeds @ digits[0]).tolist() + [key for _, key in consts]
+    state = np.zeros(total, dtype=np.uint8)   # 0 unseen, 1 new, 2 older
+    state[start] = 1
+    how: dict = {}
+    for j, key in enumerate(start if derivations else ()):
+        c = j - len(seeds)
+        how.setdefault(key, ((0, j), None, j) if c < 0
+                       else ((0, j), consts[c][0], ()))
+    # When the factors differ, an operation's tables are stacked along the
+    # first argument, which factor j reads at offset lift[j].
+    distinct = list({id(a): a for a in factors}.values())
+    nmax = max(sizes)
+    lift = [nmax * distinct.index(a) for a in factors]
+    ops = []
+    for oi, (op, k) in enumerate(sig):
+        table = distinct[0].tables[op]
+        if len(distinct) > 1 and k:
+            table = np.zeros((len(distinct) * nmax,) + (nmax,) * (k - 1),
+                             dtype=np.int64)
+            for d, a in enumerate(distinct):
+                table[(slice(d * nmax, d * nmax + a.size),)
+                      + (slice(a.size),) * (k - 1)] = a.tables[op]
+        if k:
+            ops.append((oi, op, k, table))
+    rnd, grew = 0, True
+    while grew:
+        known = state.nonzero()[0]
+        older = state[known] == 2
+        fresh = len(known) - np.count_nonzero(older)
+        state[known] = 2
+        rnd += 1
+        # the rows, new ones first, so that each argument position ranges
+        # over a span of them; ``order`` maps them back to key order
+        order = older.argsort(kind="stable")
+        rows = known[order, None] // digits[0] % digits[1]
+        lifted = rows + lift if len(distinct) > 1 else rows
+        found, count, grew = [], 0, 0
+        for oi, op, k, table in ops:
+            for i in range(k):
+                spans = [slice(fresh, None)] * i + [slice(fresh)] \
+                    + [slice(None)] * (k - i - 1)
+                for vals, at in _apply(table, lifted, rows, spans,
+                                       derivations):
+                    keys = vals @ digits[0]
+                    found.append((keys, at) if derivations else keys.ravel())
+                    count += keys.size
+                    if count >= _CHUNK and not derivations:
+                        grew += _mark(found, state)
+                        found, count = [], 0
+            if derivations and found:
+                grew += _first_derivations(found, order, rows, (rnd, oi), op,
+                                           state, how)
+                found = []
+        grew += _mark(found, state)
+    keys = state.nonzero()[0]
+    rows = keys[:, None] // digits[0] % digits[1]
+    return (rows, [how[key] for key in keys.tolist()]) if derivations \
+        else rows
 
-    while len(frontier):
-        all_keys = np.nonzero(visited)[0]
-        all_pts = decode(all_keys)
-        new_pts = decode(frontier)
-        produced = []
-        for t in unary:
-            produced.append(encode(t[new_pts]))
-        for t in binary:
-            for left, right in ((new_pts, all_pts), (all_pts, new_pts)):
-                vals = t[left[:, None, :], right[None, :, :]]
-                produced.append(encode(vals.reshape(-1, m)))
-        for t, k in higher:
-            # rare (no builtin profile has basic arity >= 3): rescan the full
-            # argument grid componentwise instead of tracking newness
-            cols = [t[np.ix_(*([all_pts[:, i]] * k))].ravel()
-                    for i in range(m)]
-            produced.append(encode(np.stack(cols, axis=1)))
-        if produced:
-            cand = np.unique(np.concatenate(produced))
-            fresh = cand[~visited[cand]]
-        else:
-            fresh = np.empty(0, dtype=np.int64)
-        visited[fresh] = True
-        frontier = fresh
-    return decode(np.nonzero(visited)[0])
+
+def _apply(table: np.ndarray, lifted: np.ndarray, rows: np.ndarray, spans,
+           places: bool):
+    """Values of one operation over the grid of the row spans, in chunks
+    of shape (c, rows of the last span, factors), each with its argument
+    positions (broadcastable to the chunk's grid) if ``places``."""
+    *outer, inner = [(rows if p else lifted)[s] for p, s in enumerate(spans)]
+    shape = tuple(len(a) for a in outer)
+    count = math.prod(shape)
+    step = max(1, _CHUNK // max(1, len(inner)))
+    for lo in range(0, count if len(inner) else 0, step):
+        hi = min(lo + step, count)
+        picks = (slice(lo, hi),) * len(shape) if len(shape) < 2 \
+            else np.unravel_index(np.arange(lo, hi), shape)
+        vals = table[tuple(a[p, None] for a, p in zip(outer, picks))
+                     + (inner[None],)]
+        at = [(s.start or 0) + np.arange(len(rows))[p][:, None]
+              for s, p in zip(spans, picks)] + [
+            np.arange(len(rows))[spans[-1]][None]] if places else None
+        yield vals, at
+
+
+def _mark(found, state: np.ndarray) -> int:
+    """Mark the keys in ``found`` seen; the number that were not."""
+    if not found:
+        return 0
+    keys = found[0] if len(found) == 1 else np.concatenate(found)
+    keys = keys[state[keys] == 0]
+    state[keys] = 1
+    return len(keys)
+
+
+def _first_derivations(found, order, rows, when, op, state, how) -> int:
+    """Record the first derivation of every unseen key in ``found`` (key
+    grids with their argument places), mark them seen; their number."""
+    keys = np.concatenate([k.ravel() for k, _ in found])
+    pos = [np.concatenate([np.broadcast_to(order[at[p]], k.shape).ravel()
+                           for k, at in found])
+           for p in range(len(found[0][1]))]
+    unseen = state[keys] == 0
+    keys, pos = keys[unseen], [p[unseen] for p in pos]
+    srt = np.lexsort(pos[::-1] + [keys])
+    first = srt[np.unique(keys[srt], return_index=True)[1]]
+    by_key = rows[order.argsort()]
+    for key, *at in zip(keys[first].tolist(),
+                        *(p[first].tolist() for p in pos)):
+        how[key] = (when + (tuple(at),), op,
+                    tuple(map(tuple, by_key[at].tolist())))
+    state[keys[first]] = 1
+    return len(first)

@@ -219,6 +219,14 @@ def test_smith_symmetry_and_meet_bound():
                     assert s.block_id[i] == s.block_id[j]
 
 
+def test_smith_refuses_an_oversized_matrix():
+    # the matrix algebra of Z90 lives in Z90^4, 65,610,000 rows
+    z90 = cyclic_group(90)
+    nabla = generate_congruence(z90, [(0, 1)])
+    with pytest.raises(ValidationError, match="65,610,000 rows"):
+        smith(z90, nabla, nabla)
+
+
 def test_smith_with_diagonal_is_diagonal():
     d4 = dihedral_group(4)
     delta = generate_congruence(d4, [])

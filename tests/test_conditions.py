@@ -68,28 +68,50 @@ def test_ssh_counterexample_instance_is_frozen(lib):
     assert {"(0,a)", "(1/2,1)"} <= {P.label(i) for i in involved}
 
 
+# The first conflict of the fill-in closure, frozen in full: (element,
+# values, derivations of both values, involved pullback elements).
+FROZEN_CONFLICTS = {
+    "paper/hslat-adm": (
+        1, (2, 1), (("seed-e2", 1), ("meet", ((1, 2), (3, 1)))), (1, 3)),
+    "groups/s3-s3-full-nonabelian": (
+        8, (3, 4), (("mul", ((2, 2), (6, 1))), ("mul", ((6, 1), (2, 2)))),
+        (2, 6, 8)),
+}
+
+
+def test_fill_in_conflicts_are_frozen(lib):
+    for key in sorted(lib.diagrams):
+        out = admissible(lib.diagrams[key])
+        c = out.conflict
+        got = None if c is None else (c.element, c.values, c.derivations,
+                                      c.involved)
+        assert got == FROZEN_CONFLICTS.get(key), key
+        assert out.exists == (key not in FROZEN_CONFLICTS)
+
+
 def test_ssh_conflict_derivations_reevaluate(lib):
-    d = lib.diagrams["paper/hslat-adm"]
-    out = admissible(d)
-    assert not out.exists
-    c = out.conflict
-    P = out.square.carrier
-    D = d.target
-    e1, e2 = out.square.induced["e1"], out.square.induced["e2"]
-    for (p, v), der in zip(((c.element, val) for val in c.values),
-                           c.derivations):
-        if der[0] == "seed-e1":
-            a = der[1]
-            assert e1.map[a] == p and d.alpha.map[a] == v
-        elif der[0] == "seed-e2":
-            cc = der[1]
-            assert e2.map[cc] == p and d.gamma.map[cc] == v
-        elif der[0] != "derived":
-            op, args = der
-            qs = [q for q, _ in args]
-            es = [e for _, e in args]
-            assert int(P.tables[op][tuple(qs)]) == p
-            assert int(D.tables[op][tuple(es)]) == v
+    for key in FROZEN_CONFLICTS:
+        d = lib.diagrams[key]
+        out = admissible(d)
+        assert not out.exists
+        c = out.conflict
+        P = out.square.carrier
+        D = d.target
+        e1, e2 = out.square.induced["e1"], out.square.induced["e2"]
+        for (p, v), der in zip(((c.element, val) for val in c.values),
+                               c.derivations):
+            if der[0] == "seed-e1":
+                a = der[1]
+                assert e1.map[a] == p and d.alpha.map[a] == v
+            elif der[0] == "seed-e2":
+                cc = der[1]
+                assert e2.map[cc] == p and d.gamma.map[cc] == v
+            else:
+                op, args = der
+                qs = [q for q, _ in args]
+                es = [e for _, e in args]
+                assert int(P.tables[op][tuple(qs)]) == p
+                assert int(D.tables[op][tuple(es)]) == v
 
 
 def test_ssh_is_lazy_when_hypothesis_fails(lib, monkeypatch):

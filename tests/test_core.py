@@ -1,10 +1,12 @@
 """Carrier machinery: algebras, homs, closures, products, pullbacks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import commwb.core as core
 from commwb.core import (Congruence, FinAlgebra, PointObject, Signature,
                          Subuniverse, ValidationError, check_hom, compose,
                          generate_congruence, generate_subuniverse,
@@ -244,3 +246,42 @@ def test_power_closure_rows_in_encoded_key_order():
     pts = power_closure(z4, [(1, 1, 2)], width=3)
     keys = pts[:, 0] * 16 + pts[:, 1] * 4 + pts[:, 2]
     assert np.all(np.diff(keys) > 0)
+
+
+def test_power_closure_refuses_an_oversized_product():
+    # Z90^4 has 65,610,000 rows: refused before its bitmap is allocated
+    z90 = cyclic_group(90)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="65,610,000 rows"):
+            power_closure(z90, [(0, 0, 0, 0)], width=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_power_closure_is_the_same_in_small_chunks(monkeypatch):
+    d4 = dihedral_group(4)
+    seeds = [(1, 0, 1, 0), (0, 2, 0, 2), (3, 3, 5, 5)]
+    whole = power_closure(d4, seeds)
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    assert np.array_equal(power_closure(d4, seeds), whole)
+
+
+def test_closure_under_a_ternary_operation_matches_brute_closure():
+    # p(x, y, z) = x - y + z on Z6 (with 0 as the only constant): no
+    # catalogue signature has an operation of arity 3
+    x, y, z = np.indices((6, 6, 6))
+    sig = Signature(ops=(("p", 3), ("e", 0)), basepoint_op="e")
+    alg = FinAlgebra(sig, 6, {"p": (x - y + z) % 6, "e": 0})
+    for seeds in ([(2, 3)], [(1, 0), (0, 3)], [(4, 4)]):
+        members = {(0, 0)} | set(seeds)
+        while True:
+            new = {tuple((a[i] - b[i] + c[i]) % 6 for i in range(2))
+                   for a, b, c in itertools.product(members, repeat=3)}
+            if new <= members:
+                break
+            members |= new
+        assert {tuple(r) for r in power_closure(alg, seeds)} == members
+    assert generate_subuniverse(alg, [4]).members == (0, 2, 4)

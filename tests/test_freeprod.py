@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb._kernel_search import (iter_word_records, ternary_kernel_elements,
-                                   ternary_kernel_words)
+import commwb._kernel_search as kernel_search
+from commwb._kernel_search import iter_word_records, ternary_kernel_words
+from commwb.commutators import higgins_ternary
 from commwb.core import Subuniverse, check_hom
 from commwb.freeprod import (cosmash_kernel_words, delete_factor, evaluate,
                              identity_word, make_word, word_inverse,
@@ -157,10 +158,28 @@ def test_engine_counts_frozen_across_bounds():
         ternary_kernel_words((full8, full8, full8), max_len=10))) == 10290
 
 
+def test_word_cache_drops_its_oldest_records(monkeypatch):
+    _, (c2, _, full) = _c2_c2_s3()
+    triples = [(c2, c2, full), (full, c2, c2), (c2, full, c2)]
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    bufs = [ternary_kernel_words(t, max_len=10) for t in triples]
+    assert all(len(b) for b in bufs) and len(kernel_search._WORD_CACHE) == 3
+    # room for the last two buffers only: the first one goes
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
+                        bufs[1].nbytes + bufs[2].nbytes)
+    again = [ternary_kernel_words(t, max_len=10) for t in triples]
+    kept = list(kernel_search._WORD_CACHE.values())
+    assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
+    assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
+
+
 def test_kernel_word_evaluations_reach_a3():
     s3, subs = _c2_c2_s3()
-    got = ternary_kernel_elements(s3, subs, max_len=10)
-    assert got == {0, 3, 4}
+    report = higgins_ternary(s3, *subs, "word-oracle", word_bound=10)
+    # the words evaluate into the result, and reach both 3-cycles
+    assert report.result.members == (0, 3, 4)
+    assert {w[-1] for w in report.witnesses} >= {3, 4}
     # the definitional route lands on the same values
     views = tuple(s.as_algebra() for s in subs)
     factors = tuple(v.algebra for v in views)
