@@ -9,8 +9,8 @@ finite computation.  The layers, bottom up:
 * :mod:`commwb.varieties` — equational profiles (groups, Heyting
   semilattices, loops, digroups), identity verification, and the built-in
   catalogue of named algebras, diagrams and cospans.
-* :mod:`commwb.freeprod` — reduced words in free products of groups and
-  the kernel-word generator behind the word-oracle strategies.
+* :mod:`commwb._kernel_search` — the bounded kernel-word search behind
+  the word-oracle strategy.
 * :mod:`commwb.commutators` — cooperators, binary/ternary Higgins
   commutators, Smith commutators, weighted commutation.
 * :mod:`commwb.conditions` — instance checkers for the centralisation

@@ -31,7 +31,10 @@ import numpy as np
 
 from .core import Subuniverse, ValidationError
 
-__all__ = ["ternary_kernel_words", "iter_word_records"]
+__all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words", "iter_word_records"]
+
+# Syllable bound of the word oracle when the caller gives none.
+DEFAULT_WORD_BOUND = 12
 
 # Rows allowed in the widest half-word level: 8 bytes each, plus transient
 # join buffers of about twice that.

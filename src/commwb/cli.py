@@ -42,8 +42,9 @@ import time
 import numpy as np
 
 from .commutators import (TERNARY_STRATEGIES, WEIGHTED_STRATEGIES,
-                          commute_over, cooperator, higgins_binary,
-                          higgins_ternary, smith, w_normal_closure)
+                          _resolve_ternary_strategy, commute_over,
+                          cooperator, higgins_binary, higgins_ternary, smith,
+                          w_normal_closure)
 from .conditions import (EXAMPLE_NAMES, check_reflection_instance,
                          check_sh_instance, check_ssh_instance,
                          check_w_instance, run_paper_examples)
@@ -106,13 +107,6 @@ def _resolve_word_bound(args) -> int | None:
     except ValueError:
         raise ValidationError(
             f"{WORD_BOUND_ENV}={raw!r}: expected an integer") from None
-
-
-def _default_ternary_strategy(alg: FinAlgebra, args) -> str:
-    if args.strategy is not None:
-        return args.strategy
-    names = {op for op, _ in alg.signature.ops}
-    return "group-fast" if {"mul", "inv"} <= names else "term-depth"
 
 
 def _jsonable(x):
@@ -194,10 +188,9 @@ def _cmd_commutator_huq(args, reg: Registry):
     alg = reg.algebra(args.algebra)
     k, l = _subs_from_args(args, alg, 2)
     outcome = cooperator(alg, k, l)
-    binary = higgins_binary(alg, k, l)
     payload = {
         "cooperator_exists": outcome.exists,
-        "commutator": _members(binary),
+        "commutator": _members(outcome.commutator),
     }
     if outcome.conflict is not None:
         (a, b, d1), (_, _, d2) = outcome.conflict
@@ -219,7 +212,7 @@ def _cmd_commutator_ternary(args, reg: Registry):
     alg = reg.algebra(args.algebra)
     k, l, m = _subs_from_args(args, alg, 3)
     rep = higgins_ternary(alg, k, l, m,
-                          _default_ternary_strategy(alg, args),
+                          _resolve_ternary_strategy(alg, args.strategy),
                           word_bound=_resolve_word_bound(args),
                           term_depth=args.term_depth)
     payload = {

@@ -40,9 +40,9 @@ from .core import (
     power_closure,
     product,
 )
-from .freeprod import DEFAULT_WORD_BOUND
 from . import terms
-from ._kernel_search import iter_word_records, ternary_kernel_words
+from ._kernel_search import (DEFAULT_WORD_BOUND, iter_word_records,
+                             ternary_kernel_words)
 
 __all__ = [
     "WeightedCospan",
@@ -124,11 +124,6 @@ class CommutatorReport:
                     raise ValidationError(
                         f"witness {wit!r} lands outside the result")
 
-    def is_trivial(self) -> bool:
-        if isinstance(self.result, Subuniverse):
-            return self.result.is_zero()
-        return self.result.is_delta()
-
 
 @dataclass(frozen=True, eq=False)
 class CooperatorOutcome:
@@ -137,9 +132,12 @@ class CooperatorOutcome:
     ``hom`` is the cooperating morphism K x L -> D when one exists, else
     None together with a ``conflict``: two generated triples (k, l, d) and
     (k, l, d') witnessing that joint generation is not single-valued.
+    ``commutator`` is [K, L], read off the same joint generation; it is
+    trivial exactly when ``hom`` exists.
     """
 
     hom: Hom | None
+    commutator: Subuniverse
     conflict: tuple | None = None
 
     @property
@@ -171,6 +169,13 @@ def _triple_trace(D: FinAlgebra, K: Subuniverse, L: Subuniverse) -> np.ndarray:
     return power_closure(D, seeds, width=3)
 
 
+def _binary_commutator(D: FinAlgebra, pts: np.ndarray) -> Subuniverse:
+    """[K, L] from the joint-generation rows: {d : (0, 0, d)}."""
+    bp = D.basepoint
+    mask = (pts[:, 0] == bp) & (pts[:, 1] == bp)
+    return Subuniverse(D, tuple(int(d) for d in pts[mask, 2]))
+
+
 def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
                ) -> CooperatorOutcome:
     """The cooperating morphism K x L -> D, if K and L commute.
@@ -184,6 +189,7 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     _require_sub_of(D, K, "K")
     _require_sub_of(D, L, "L")
     pts = _triple_trace(D, K, L)
+    commutator = _binary_commutator(D, pts)
     n = D.size
     keys = pts[:, 0] * n + pts[:, 1]
     order = np.argsort(keys, kind="stable")
@@ -194,7 +200,8 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
         i = int(np.nonzero(clash)[0][0])
         k, l = int(keys[i] // n), int(keys[i] % n)
         conflict = ((k, l, int(vals[i])), (k, l, int(vals[i + 1])))
-        return CooperatorOutcome(hom=None, conflict=conflict)
+        return CooperatorOutcome(hom=None, commutator=commutator,
+                                 conflict=conflict)
     uniq_keys = keys[np.concatenate(([True], ~same))] if len(keys) else keys
     if len(uniq_keys) != len(K) * len(L):
         raise ValidationError(
@@ -210,7 +217,8 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     kpos = np.searchsorted(karr, pts[:, 0])
     lpos = np.searchsorted(larr, pts[:, 1])
     mapping[kpos * len(larr) + lpos] = pts[:, 2]
-    return CooperatorOutcome(hom=check_hom(dom, D, mapping))
+    return CooperatorOutcome(hom=check_hom(dom, D, mapping),
+                             commutator=commutator)
 
 
 def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
@@ -221,10 +229,7 @@ def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     """
     _require_sub_of(D, K, "K")
     _require_sub_of(D, L, "L")
-    pts = _triple_trace(D, K, L)
-    bp = D.basepoint
-    mask = (pts[:, 0] == bp) & (pts[:, 1] == bp)
-    return Subuniverse(D, tuple(int(d) for d in pts[mask, 2]))
+    return _binary_commutator(D, _triple_trace(D, K, L))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,14 @@ def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
 def _is_group_signature(D: FinAlgebra) -> bool:
     ops = dict(D.signature.ops)
     return ops.get("mul") == 2 and ops.get("inv") == 1
+
+
+def _resolve_ternary_strategy(D: FinAlgebra, strategy: str | None) -> str:
+    """``strategy`` if given, else group-fast on group signatures and
+    term-depth elsewhere."""
+    if strategy is not None:
+        return strategy
+    return "group-fast" if _is_group_signature(D) else "term-depth"
 
 
 def _require_group_signature(D: FinAlgebra, what: str) -> None:
@@ -504,10 +517,14 @@ def is_w_normal(D: FinAlgebra, X: Subuniverse, w: Hom) -> bool:
 
 def w_normal_closure(D: FinAlgebra, X: Subuniverse, w: Hom) -> Subuniverse:
     """Least subuniverse above X that the image of w normalises:
-    the join of [Im w, X] and X.  Verified w-normal before returning."""
+    the join of [Im w, X] and X.  Verified w-normal before returning;
+    when [Im w, X] already lies in X, the closure is X and that inclusion
+    is the verification."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
     comm = higgins_binary(D, image_sub(w), X)
+    if comm.issubset(X):
+        return X
     closed = generate_subuniverse(D, set(comm.members) | set(X.members))
     if not is_w_normal(D, closed, w):
         raise ValidationError(
@@ -563,9 +580,7 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
                     f"cospan is not w-proper: the image of {role} is not "
                     "normalised by the weight image",
                     witness=tuple(sub.members))
-        tern = ternary_strategy
-        if tern is None:
-            tern = "group-fast" if _is_group_signature(D) else "term-depth"
+        tern = _resolve_ternary_strategy(D, ternary_strategy)
         binary = higgins_binary(D, X, Y)
         ternary = higgins_ternary(D, X, Y, image_sub(c.w), tern,
                                   word_bound=word_bound,
@@ -588,7 +603,7 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
     Xc = w_normal_closure(D, X, c.w)
     Yc = w_normal_closure(D, Y, c.w)
     outcome = cooperator(D, Xc, Yc)
-    obstruction = higgins_binary(D, Xc, Yc)
+    obstruction = outcome.commutator
     report = CommutatorReport(obstruction, "ssh-kernel", complete=True,
                               witnesses=_trace_witnesses(obstruction))
     return outcome.exists, report

@@ -43,9 +43,10 @@ from .core import (
     pullback_point,
 )
 from .commutators import (
-    CommutatorReport,
+    _WITNESS_CAP,
     WeightedCospan,
     _is_group_signature,
+    _resolve_ternary_strategy,
     cooperator,
     higgins_binary,
     higgins_ternary,
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 REFLECTION_MODES = ("points", "basic")
-_WITNESS_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +361,8 @@ def check_w_instance(c: WeightedCospan, *, ternary_strategy: str | None = None,
     if not binary.is_zero():
         return ConditionVerdict("w", False, None, True,
                                 witnesses=_binary_witnesses(binary))
-    strategy = ternary_strategy
-    if strategy is None:
-        strategy = "group-fast" if _is_group_signature(D) else "term-depth"
-    report = higgins_ternary(D, X, Y, image_sub(c.w), strategy,
+    report = higgins_ternary(D, X, Y, image_sub(c.w),
+                             _resolve_ternary_strategy(D, ternary_strategy),
                              word_bound=word_bound, term_depth=term_depth)
     concl = report.result.is_zero()
     return ConditionVerdict(

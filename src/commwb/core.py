@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "eval_term",
     "generate_subuniverse",
     "generate_congruence",
-    "congruence_join",
     "product",
     "quotient",
     "check_hom",
@@ -47,7 +46,6 @@ __all__ = [
     "zero_hom",
     "compose",
     "kernel_sub",
-    "kernel_pair",
     "image_sub",
     "pullback",
     "pullback_point",
@@ -92,16 +90,6 @@ class Signature:
             raise ValidationError(
                 f"basepoint op {self.basepoint_op!r} must be a nullary operation")
 
-    def arity(self, name: str) -> int:
-        for n, k in self.ops:
-            if n == name:
-                return k
-        raise ValidationError(f"unknown operation {name!r}")
-
-    @property
-    def op_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.ops)
-
 
 @dataclass(frozen=True, eq=False)
 class FinAlgebra:
@@ -141,13 +129,6 @@ class FinAlgebra:
     @property
     def basepoint(self) -> int:
         return int(self.tables[self.signature.basepoint_op][()])
-
-    def op(self, name: str, *args):
-        table = self.tables[name]
-        if not args:
-            return int(table[()])
-        out = table[args]
-        return int(out) if np.isscalar(out) or out.shape == () else out
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -278,9 +259,6 @@ class SubalgebraView:
     algebra: FinAlgebra
     to_parent: tuple[int, ...]
 
-    def position(self, parent_index: int) -> int:
-        return self.to_parent.index(parent_index)
-
 
 @dataclass(frozen=True, eq=False)
 class Congruence:
@@ -320,10 +298,6 @@ class Congruence:
         return cls(algebra, tuple(range(algebra.size)))
 
     @classmethod
-    def nabla(cls, algebra: FinAlgebra) -> "Congruence":
-        return cls(algebra, (0,) * algebra.size)
-
-    @classmethod
     def from_raw_ids(cls, algebra: FinAlgebra, raw: Sequence[int]) -> "Congruence":
         """Canonicalize an arbitrary labelling into least-member block ids."""
         first: dict[int, int] = {}
@@ -332,32 +306,12 @@ class Congruence:
             bid.append(first.setdefault(int(r), i))
         return cls(algebra, tuple(bid))
 
-    @classmethod
-    def from_blocks(cls, algebra: FinAlgebra, blocks: Iterable[Iterable[int]]
-                    ) -> "Congruence":
-        raw = [-1] * algebra.size
-        for bi, block in enumerate(blocks):
-            for x in block:
-                if raw[int(x)] != -1:
-                    raise ValidationError(f"element {x} in two blocks")
-                raw[int(x)] = bi
-        if -1 in raw:
-            raise ValidationError("blocks do not cover the carrier")
-        return cls.from_raw_ids(algebra, raw)
-
     # -- queries -----------------------------------------------------------
-    def related(self, a: int, b: int) -> bool:
-        return self.block_id[a] == self.block_id[b]
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         by_root: dict[int, list[int]] = {}
         for i, r in enumerate(self.block_id):
             by_root.setdefault(r, []).append(i)
         return tuple(tuple(by_root[r]) for r in sorted(by_root))
-
-    def block_of(self, a: int) -> tuple[int, ...]:
-        r = self.block_id[a]
-        return tuple(i for i, x in enumerate(self.block_id) if x == r)
 
     @property
     def num_blocks(self) -> int:
@@ -366,35 +320,15 @@ class Congruence:
     def is_delta(self) -> bool:
         return self.num_blocks == self.parent.size
 
-    def is_nabla(self) -> bool:
-        return self.num_blocks == 1
-
     def spanning_pairs(self) -> tuple[tuple[int, int], ...]:
         """One generating pair (root, i) per non-root element."""
         return tuple((r, i) for i, r in enumerate(self.block_id) if r != i)
 
     def all_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every related ordered pair, diagonal included."""
-        n = self.parent.size
         b = np.asarray(self.block_id)
         eq = b[:, None] == b[None, :]
         return tuple(map(tuple, np.argwhere(eq)))
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        assert other.parent is self.parent
-        raw = [a * self.parent.size + b
-               for a, b in zip(self.block_id, other.block_id)]
-        return Congruence.from_raw_ids(self.parent, raw)
-
-    def refines(self, other: "Congruence") -> bool:
-        """Every block of self sits inside a block of other."""
-        assert other.parent is self.parent
-        roots = {}
-        for i, r in enumerate(self.block_id):
-            o = other.block_id[i]
-            if roots.setdefault(r, o) != o:
-                return False
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,11 +424,6 @@ def generate_congruence(algebra: FinAlgebra,
                 if diff.any():
                     queue.extend(zip(va[diff].tolist(), vb[diff].tolist()))
     return Congruence(algebra, tuple(int(x) for x in root))
-
-
-def congruence_join(r: Congruence, s: Congruence) -> Congruence:
-    assert r.parent is s.parent
-    return generate_congruence(r.parent, r.spanning_pairs() + s.spanning_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +554,6 @@ def kernel_sub(f: Hom) -> Subuniverse:
     """Preimage of the codomain basepoint."""
     members = np.nonzero(f.map == f.cod.basepoint)[0]
     return Subuniverse(f.dom, tuple(int(x) for x in members))
-
-
-def kernel_pair(f: Hom) -> Congruence:
-    return Congruence.from_raw_ids(f.dom, [int(v) for v in f.map])
 
 
 def image_sub(f: Hom) -> Subuniverse:

@@ -430,11 +430,6 @@ class Registry:
             f"unknown profile {token!r}; catalogue profiles:"
             f" {sorted(self.library.profiles)}")
 
-    def profile_for_algebra(self, key: str) -> VarietyProfile | None:
-        if key in self.library.algebra_profile:
-            return self.library.profiles[self.library.algebra_profile[key]]
-        return None
-
     def diagram(self, token: str) -> AdmissibleDiagram:
         if token in self.library.diagrams:
             d = self.library.diagrams[token]

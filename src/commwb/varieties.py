@@ -29,7 +29,6 @@ from .core import (
     FinAlgebra,
     Hom,
     Signature,
-    Subuniverse,
     ValidationError,
     check_hom,
     generate_subuniverse,
@@ -424,9 +423,6 @@ class Library:
             raise ValidationError(
                 f"unknown algebra {key!r}; known: {sorted(self.algebras)}")
         return self.algebras[key]
-
-    def profile_for(self, key: str) -> VarietyProfile:
-        return self.profiles[self.algebra_profile[key]]
 
     def lookup(self, key: str):
         for table in (self.algebras, self.homs, self.diagrams, self.cospans):

@@ -1,5 +1,7 @@
-"""Words in free products of finitely many finite groups.
+"""Words in free products of finitely many finite groups: a test oracle.
 
+The definitional reference that the kernel-word search of
+``commwb._kernel_search`` is checked against; the package does not use it.
 A word is an alternating sequence of syllables (factor index, non-identity
 element) — the standard free-product normal form.  The module provides the
 group operations on normal forms, the factor-deletion projections, fold
@@ -19,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import FinAlgebra, Hom, ValidationError
+from commwb._kernel_search import DEFAULT_WORD_BOUND
+from commwb.core import FinAlgebra, Hom, ValidationError
 
 __all__ = [
-    "DEFAULT_WORD_BOUND",
     "Word",
     "identity_word",
     "make_word",
@@ -32,8 +34,6 @@ __all__ = [
     "evaluate",
     "cosmash_kernel_words",
 ]
-
-DEFAULT_WORD_BOUND = 12
 
 
 def _require_group(alg: FinAlgebra) -> None:
@@ -96,7 +96,7 @@ def _push(stack: list, factors, f: int, x: int) -> None:
     if x == alg.basepoint:
         return
     if stack and stack[-1][0] == f:
-        merged = alg.op("mul", stack[-1][1], x)
+        merged = int(alg.tables["mul"][stack[-1][1], x])
         stack.pop()
         if merged != alg.basepoint:
             stack.append((f, merged))

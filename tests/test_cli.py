@@ -265,6 +265,25 @@ def test_algebra_verify_against_profile(capsys, tmp_path):
     assert failures and "assignment" in failures[0]
 
 
+def test_ternary_default_needs_group_arities_not_just_names(capsys,
+                                                           tmp_path):
+    # Z3 with mul/2 and a binary "inv" (subtraction): group op names, but
+    # not a group-shaped signature, so the default is term-depth
+    alg = algebra_to_json(cyclic_group(3))
+    alg["signature"] = [{"op": "mul", "arity": 2},
+                        {"op": "inv", "arity": 2},
+                        {"op": "e", "arity": 0}]
+    alg["tables"]["inv"] = [(a - b) % 3 for a in range(3) for b in range(3)]
+    path = tmp_path / "z3-sub.json"
+    path.write_text(canonical_dumps(alg))
+    code, report = _run_json(capsys, "commutator", "ternary", "--algebra",
+                             str(path), "--sub", "1", "--sub", "1",
+                             "--sub", "1")
+    assert code == 0
+    assert report["result"]["strategy"] == "term-depth(2)"
+    assert report["result"]["commutator"] == ["0"]
+
+
 # ---------------------------------------------------------------------------
 # argument validation
 

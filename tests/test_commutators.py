@@ -5,14 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb.commutators import (CommutatorReport, WeightedCospan,
-                                commute_over, cooperator, higgins_binary,
-                                higgins_ternary, is_w_normal, normalise,
-                                smith, w_normal_closure)
+from commwb import commutators
+from commwb.commutators import (WEIGHTED_STRATEGIES, CommutatorReport,
+                                WeightedCospan, commute_over, cooperator,
+                                higgins_binary, higgins_ternary, is_w_normal,
+                                normalise, smith, w_normal_closure)
 from commwb.core import (Subuniverse, ValidationError, check_hom,
                          generate_congruence, generate_subuniverse,
-                         identity_hom, power_closure)
-from commwb.sweeps import congruences, join_subs, subgroups
+                         identity_hom, image_sub, power_closure)
+from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
 from conftest import brute_binary_commutator, is_diagonal
 
@@ -63,6 +64,8 @@ def test_cooperator_mirrors_binary_triviality_everywhere():
             assert cooperator(alg, k, l).exists == \
                 higgins_binary(alg, k, l).is_zero(), (alg.name, k.members,
                                                       l.members)
+            assert cooperator(alg, k, l).commutator.members == \
+                higgins_binary(alg, k, l).members
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,31 @@ def test_commute_over_bundled_cospans(lib):
     v0, rep0 = commute_over(zero, "proper-commutators")
     assert v0 is True and rep0.result.is_zero()
     assert rep0.complete
+
+
+def test_weighted_strategies_close_each_joint_generation_once(monkeypatch,
+                                                             lib):
+    calls = []
+    real = commutators.power_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(commutators, "power_closure", counting)
+    s3 = symmetric_group(3)
+    cyc = cyclic_subgroups(s3)
+    incl = [c.inclusion_hom() for c in cyc]
+    proper = [(x, y, w) for x, y, w in itertools.product(incl, repeat=3)
+              if is_w_normal(s3, image_sub(x), w)
+              and is_w_normal(s3, image_sub(y), w)]
+    assert proper
+    for x, y, w in proper:
+        c = WeightedCospan(x=x, y=y, w=w)
+        for strategy in WEIGHTED_STRATEGIES:
+            calls.clear()
+            commute_over(c, strategy, profile=lib.profiles["groups"])
+            assert len(calls) == 3, (strategy, len(calls))
 
 
 def test_commute_over_ssh_requires_certified_profile(lib):

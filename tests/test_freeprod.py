@@ -15,10 +15,9 @@ import commwb._kernel_search as kernel_search
 from commwb._kernel_search import iter_word_records, ternary_kernel_words
 from commwb.commutators import higgins_ternary
 from commwb.core import Subuniverse, check_hom
-from commwb.freeprod import (cosmash_kernel_words, delete_factor, evaluate,
-                             identity_word, make_word, word_inverse,
-                             word_multiply)
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
+from freeprod import (cosmash_kernel_words, delete_factor, evaluate,
+                      identity_word, make_word, word_inverse, word_multiply)
 
 
 def _c2_c2_s3():

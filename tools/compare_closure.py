@@ -1,8 +1,9 @@
 """Differential check of the closure engine against an earlier revision.
 
 Loads ``core.py``, ``commutators.py`` and ``conditions.py`` as they stood at
-a git revision that still had the separate closure mechanisms (the other
-modules are shared with the working tree) and compares results on:
+a git revision that still had the separate closure mechanisms, together with
+the ``freeprod.py`` that revision's ``commutators.py`` imports (the other
+modules are shared with the working tree), and compares results on:
 
 * every ``power_closure`` and ``generate_subuniverse`` call that the three
   benchmark workloads of ``perfbench/`` make at one seed;
@@ -36,14 +37,14 @@ from commwb.sweeps import congruences, subgroups
 from commwb.varieties import builtin_library
 
 ROOT = Path(__file__).resolve().parent.parent
-OWN = ("core", "commutators", "conditions")
-SHARED = ("terms", "freeprod", "_kernel_search", "varieties", "sweeps")
+OWN = ("core", "freeprod", "commutators", "conditions")    # in import order
+SHARED = ("terms", "_kernel_search", "varieties", "sweeps")
 SMITH_CARRIERS = ("chain3xchain3", "A4", "D5", "D6", "Dic3")
 TRIPLE_CARRIERS = ("D4", "Q8", "A4")
 
 
 def load_reference(rev: str) -> dict:
-    """The three modules at ``rev``, as the package ``commwb_ref``."""
+    """The ``OWN`` modules at ``rev``, as the package ``commwb_ref``."""
     package = types.ModuleType("commwb_ref")
     package.__path__ = []
     sys.modules["commwb_ref"] = package
