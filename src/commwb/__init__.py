@@ -15,8 +15,8 @@ finite computation.  The layers, bottom up:
   commutators, Smith commutators, weighted commutation.
 * :mod:`commwb.conditions` — instance checkers for the centralisation
   conditions and the bundled worked examples.
-* :mod:`commwb.sweeps` — exhaustive enumeration and seeded sampling for
-  batch verification.
+* :mod:`commwb.sweeps` — exhaustive enumeration of subgroups and
+  congruences for batch verification.
 * :mod:`commwb.fileio` / :mod:`commwb.cli` — JSON formats, the input
   registry, and the ``commwb`` command.
 """
@@ -31,9 +31,9 @@ from .conditions import (AdmissibleDiagram, AdmissibleOutcome,
                          check_ssh_instance, check_w_instance, groups_phi,
                          kernel_images, run_paper_examples)
 from .core import (Congruence, FinAlgebra, Hom, PointObject, Signature,
-                   Subuniverse, ValidationError, check_hom, compose,
+                   Subuniverse, ValidationError, check_hom,
                    generate_congruence, generate_subuniverse, identity_hom,
-                   image_sub, kernel_sub, product, pullback, quotient)
+                   image_sub, kernel_sub, product, pullback)
 from .varieties import (VarietyProfile, builtin_library, cyclic_group,
                         dihedral_group, symmetric_group, verify_identities)
 
@@ -45,11 +45,11 @@ __all__ = [
     "Hom", "PointObject", "Signature", "Subuniverse", "ValidationError",
     "VarietyProfile", "WeightedCospan", "admissible", "builtin_library",
     "check_hom", "check_reflection_instance", "check_sh_instance",
-    "check_ssh_instance", "check_w_instance", "commute_over", "compose",
-    "cooperator", "cyclic_group", "dihedral_group", "generate_congruence",
+    "check_ssh_instance", "check_w_instance", "commute_over", "cooperator",
+    "cyclic_group", "dihedral_group", "generate_congruence",
     "generate_subuniverse", "groups_phi", "higgins_binary",
     "higgins_ternary", "identity_hom", "image_sub", "is_w_normal",
     "kernel_images", "kernel_sub", "normalise", "product", "pullback",
-    "quotient", "run_paper_examples", "smith", "symmetric_group",
-    "verify_identities", "w_normal_closure",
+    "run_paper_examples", "smith", "symmetric_group", "verify_identities",
+    "w_normal_closure",
 ]

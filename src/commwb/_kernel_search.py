@@ -221,11 +221,10 @@ _WORD_CACHE: dict = {}
 
 
 def _local_group_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
-    view = sub.as_algebra()
-    alg = view.algebra
+    alg = sub.as_algebra()
     if alg.basepoint != 0:
         raise ValidationError("word oracle needs the identity at local index 0")
-    return np.asarray(alg.tables["mul"], dtype=np.int64), len(view.to_parent)
+    return np.asarray(alg.tables["mul"], dtype=np.int64), alg.size
 
 
 def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],

@@ -27,15 +27,15 @@ not run".
 
 Element arguments are given by label: ``--sub "(12),(123)"`` generates a
 subuniverse from listed elements, ``--cong "a~b;c~d"`` generates a
-congruence from listed pairs.  ``--word-bound`` falls back to the
-``COMMWB_WORD_BOUND`` environment variable when the flag is absent.
+congruence from listed pairs.  ``--word-bound`` is read only by the
+word-oracle strategy of ``commutator ternary`` and ``check w``; without it
+the built-in bound applies.  No environment variable changes a report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -56,8 +56,6 @@ from .varieties import verify_identities
 __all__ = ["main"]
 
 EXIT_OK, EXIT_VIOLATION, EXIT_ERROR = 0, 1, 2
-
-WORD_BOUND_ENV = "COMMWB_WORD_BOUND"
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +94,6 @@ def _cong_from_spec(alg: FinAlgebra, text: str, what: str):
     return generate_congruence(alg, pairs)
 
 
-def _resolve_word_bound(args) -> int | None:
-    if getattr(args, "word_bound", None) is not None:
-        return args.word_bound
-    raw = os.environ.get(WORD_BOUND_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{WORD_BOUND_ENV}={raw!r}: expected an integer") from None
-
-
 def _jsonable(x):
     if isinstance(x, (np.integer,)):
         return int(x)
@@ -126,10 +111,8 @@ def _members(sub: Subuniverse) -> list[str]:
 
 
 def _blocks(theta) -> list[list[str]]:
-    groups: dict[int, list[str]] = {}
-    for i, b in enumerate(theta.block_id):
-        groups.setdefault(b, []).append(theta.parent.label(i))
-    return [groups[b] for b in sorted(groups)]
+    return [[theta.parent.label(i) for i in block]
+            for block in theta.blocks()]
 
 
 def _verdict_payload(v) -> dict:
@@ -213,7 +196,7 @@ def _cmd_commutator_ternary(args, reg: Registry):
     k, l, m = _subs_from_args(args, alg, 3)
     rep = higgins_ternary(alg, k, l, m,
                           _resolve_ternary_strategy(alg, args.strategy),
-                          word_bound=_resolve_word_bound(args),
+                          word_bound=args.word_bound,
                           term_depth=args.term_depth)
     payload = {
         "commutator": _members(rep.result),
@@ -246,9 +229,8 @@ def _cmd_commutator_weighted(args, reg: Registry):
     c = reg.cospan(args.file if args.file else args.cospan)
     profile = reg.profile(args.profile) if args.profile else None
     strategy = args.strategy or "proper-commutators"
-    verdict, rep = commute_over(
-        c, strategy, profile=profile,
-        word_bound=_resolve_word_bound(args), term_depth=args.term_depth)
+    verdict, rep = commute_over(c, strategy, profile=profile,
+                                term_depth=args.term_depth)
     payload = {
         "commute": verdict,
         "strategy": rep.strategy,
@@ -307,7 +289,7 @@ def _cmd_check_w(args, reg: Registry):
             "check w: give exactly one of --cospan or --file")
     c = reg.cospan(args.file if args.file else args.cospan)
     v = check_w_instance(c, ternary_strategy=args.strategy,
-                         word_bound=_resolve_word_bound(args),
+                         word_bound=args.word_bound,
                          term_depth=args.term_depth)
     return _verdict_payload(v), v.complete, not v.instance_satisfies
 
@@ -399,8 +381,8 @@ def _add_ternary_flags(p: argparse.ArgumentParser,
                        strategies=TERNARY_STRATEGIES) -> None:
     p.add_argument("--strategy", choices=strategies, default=None)
     p.add_argument("--word-bound", type=int, default=None, metavar="N",
-                   help=f"syllable budget for word strategies (default:"
-                        f" ${WORD_BOUND_ENV} or built-in)")
+                   help="syllable budget for the word-oracle strategy"
+                        " (default: built-in)")
     p.add_argument("--term-depth", type=int, default=None, metavar="N",
                    help="nesting budget for the term strategy")
 
@@ -462,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="variety profile (needed by ssh-kernel)")
     weighted.add_argument("--strategy", choices=WEIGHTED_STRATEGIES,
                           default=None)
-    weighted.add_argument("--word-bound", type=int, default=None,
-                          metavar="N")
     weighted.add_argument("--term-depth", type=int, default=None,
                           metavar="N")
     _add_common(weighted)

@@ -23,6 +23,7 @@ and verdicts for when two morphisms commute over a weight.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,9 +211,7 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
 
     karr = np.asarray(K.members, dtype=np.int64)
     larr = np.asarray(L.members, dtype=np.int64)
-    KA = K.as_algebra().algebra
-    LA = L.as_algebra().algebra
-    dom = product(KA, LA).carrier
+    dom = product(K.as_algebra(), L.as_algebra()).carrier
     mapping = np.empty(dom.size, dtype=np.int64)
     kpos = np.searchsorted(karr, pts[:, 0])
     lpos = np.searchsorted(larr, pts[:, 1])
@@ -331,7 +330,6 @@ def _enumerate_term_classes(D: FinAlgebra, depth: int):
     grids = np.indices((n, n, n))
     env = {"x": grids[0], "y": grids[1], "z": grids[2]}
     pool: dict[bytes, tuple] = {}
-    levels: list[list[tuple]] = []
 
     def admit(term, vals) -> bool:
         key = np.ascontiguousarray(vals).tobytes()
@@ -340,28 +338,27 @@ def _enumerate_term_classes(D: FinAlgebra, depth: int):
         pool[key] = (term, vals)
         return True
 
-    level0 = []
+    flat = []
     for name in ("x", "y", "z"):
         t = ("var", name)
         vals = np.broadcast_to(env[name], (n, n, n))
         if admit(t, vals):
-            level0.append((t, vals))
+            flat.append((t, vals))
     for op, k in D.signature.ops:
         if k == 0:
             t = ("op", op, ())
             vals = np.broadcast_to(D.tables[op][()], (n, n, n))
             if admit(t, vals):
-                level0.append((t, vals))
-    levels.append(level0)
+                flat.append((t, vals))
 
-    flat = list(level0)
     for _ in range(depth):
         fresh = []
         for op, k in D.signature.ops:
             if k == 0:
                 continue
             table = D.tables[op]
-            for combo_vals, combo_terms in _arg_combos(flat, k):
+            for combo in itertools.product(flat, repeat=k):
+                combo_terms, combo_vals = zip(*combo)
                 vals = table[combo_vals]
                 t = ("op", op, combo_terms)
                 if admit(t, vals):
@@ -370,25 +367,6 @@ def _enumerate_term_classes(D: FinAlgebra, depth: int):
             break
         flat.extend(fresh)
     return [(t, v) for t, v in pool.values()]
-
-
-def _arg_combos(flat, k):
-    if k == 1:
-        for t, v in flat:
-            yield (v,), (t,)
-    elif k == 2:
-        for t1, v1 in flat:
-            for t2, v2 in flat:
-                yield (v1, v2), (t1, t2)
-    else:
-        def rec(i):
-            if i == k:
-                yield (), ()
-            else:
-                for t, v in flat:
-                    for vs, ts in rec(i + 1):
-                        yield (v,) + vs, (t,) + ts
-        yield from rec(0)
 
 
 def _ternary_term_depth(D, K, L, M, depth: int) -> CommutatorReport:
@@ -545,17 +523,15 @@ def _trace_witnesses(result: Subuniverse) -> tuple:
 
 
 def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
-                 profile=None, ternary_strategy: str | None = None,
-                 word_bound: int | None = None,
-                 term_depth: int | None = None
+                 profile=None, term_depth: int | None = None
                  ) -> tuple[bool, CommutatorReport]:
     """Do the legs of a weighted cospan commute over its weight?
 
     * ``proper-commutators``: requires the cospan to be w-proper (each
       leg's image normalised by the weight's image); verdict is the
       simultaneous vanishing of [Im x, Im y] and [Im x, Im y, Im w].  The
-      ternary strategy defaults to group-fast on group signatures and
-      term-depth elsewhere; completeness is inherited from it.
+      ternary strategy is group-fast on group signatures and term-depth
+      (to ``term_depth``) elsewhere; completeness is inherited from it.
     * ``ssh-kernel``: requires a variety profile whose kernel functor is
       certified to reflect commutation (``profile.ssh_certified``);
       verdict is the existence of the cooperator of the two w-normal
@@ -580,10 +556,9 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
                     f"cospan is not w-proper: the image of {role} is not "
                     "normalised by the weight image",
                     witness=tuple(sub.members))
-        tern = _resolve_ternary_strategy(D, ternary_strategy)
+        tern = _resolve_ternary_strategy(D, None)
         binary = higgins_binary(D, X, Y)
         ternary = higgins_ternary(D, X, Y, image_sub(c.w), tern,
-                                  word_bound=word_bound,
                                   term_depth=term_depth)
         total = generate_subuniverse(
             D, set(binary.members) | set(ternary.result.members))

@@ -40,7 +40,6 @@ from .core import (
     kernel_sub,
     pullback,
     pullback_congruence,
-    pullback_point,
 )
 from .commutators import (
     _WITNESS_CAP,
@@ -391,7 +390,7 @@ def check_reflection_instance(mode: str, p: Hom, carrier, R: Congruence,
         if carrier.base is not p.cod:
             raise ValidationError("point lives over a different base")
         upstairs = carrier.total
-        compare = pullback_point(p, carrier).compare
+        compare = pullback(carrier.proj, p).legs[0]
     else:
         if not isinstance(carrier, Hom):
             raise ValidationError("basic mode needs a hom into the base")

@@ -1,10 +1,10 @@
 """Finite pointed algebras as operation tables.
 
 Everything downstream (commutators, condition checkers) reduces to the
-machinery here: subuniverse and congruence generation, products, quotients,
-pullbacks, kernels.  One closure engine, ``_closure``, computes every
-generated subalgebra: subuniverses, power closures in ``D^m`` and, for the
-fill-in search, relations in a product of two algebras.  Elements are dense
+machinery here: subuniverse and congruence generation, products, pullbacks,
+kernels.  One closure engine, ``_closure``, computes every generated
+subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
+search, relations in a product of two algebras.  Elements are dense
 indices 0..n-1; the basepoint is the value of the signature's designated
 nullary operation (identity element for groups, top for Heyting
 semilattices) -- explicit data, never a convention.
@@ -29,26 +29,21 @@ __all__ = [
     "FinAlgebra",
     "Hom",
     "Subuniverse",
-    "SubalgebraView",
     "Congruence",
     "PointObject",
     "SpanWitness",
-    "PulledPoint",
     "eval_term",
     "generate_subuniverse",
     "generate_congruence",
     "product",
-    "quotient",
     "check_hom",
     "hom_violations",
     "hom_from_table",
     "identity_hom",
     "zero_hom",
-    "compose",
     "kernel_sub",
     "image_sub",
     "pullback",
-    "pullback_point",
     "pullback_congruence",
     "power_closure",
 ]
@@ -155,10 +150,9 @@ class Hom:
     """A tabulated map between algebras of the same signature.
 
     Validated maps have ``violations == ()``.  The only way to hold a Hom
-    with a nonempty violation list is the explicit non-strict constructor
-    ``hom_from_table(..., strict=False)`` used for replaying recorded tables
-    verbatim; every consumer surfaces those violations rather than hiding
-    them.
+    with a nonempty violation list is ``hom_from_table``, the constructor
+    used for replaying recorded tables verbatim; every consumer surfaces
+    those violations rather than hiding them.
     """
 
     dom: FinAlgebra
@@ -232,8 +226,9 @@ class Subuniverse:
     def label_set(self) -> tuple[str, ...]:
         return tuple(self.parent.label(i) for i in self.members)
 
-    def as_algebra(self, name: str = "") -> "SubalgebraView":
-        """Renumber members 0..k-1 and restrict every table."""
+    def as_algebra(self, name: str = "") -> FinAlgebra:
+        """Renumber members 0..k-1 and restrict every table; local index i
+        is ``members[i]``."""
         arr = np.asarray(self.members)
         back = np.full(self.parent.size, -1, dtype=np.int64)
         back[arr] = np.arange(len(arr))
@@ -243,21 +238,11 @@ class Subuniverse:
             tables[op] = back[t[()]] if k == 0 else back[t[np.ix_(*([arr] * k))]]
         labels = (tuple(self.parent.label(i) for i in self.members)
                   if self.parent.labels else None)
-        alg = FinAlgebra(self.parent.signature, len(arr), tables,
-                         name=name or f"{self.parent.name}|sub", labels=labels)
-        return SubalgebraView(alg, tuple(int(x) for x in arr))
+        return FinAlgebra(self.parent.signature, len(arr), tables,
+                          name=name or f"{self.parent.name}|sub", labels=labels)
 
     def inclusion_hom(self) -> Hom:
-        view = self.as_algebra()
-        return check_hom(view.algebra, self.parent, view.to_parent)
-
-
-@dataclass(frozen=True, eq=False)
-class SubalgebraView:
-    """A subuniverse materialized as its own algebra plus the renumbering."""
-
-    algebra: FinAlgebra
-    to_parent: tuple[int, ...]
+        return check_hom(self.as_algebra(), self.parent, self.members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,15 +344,6 @@ class SpanWitness:
     induced: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
-class PulledPoint:
-    """Result of changing the base of a point: the new point plus the
-    comparison hom from its total onto the original total."""
-
-    point: PointObject
-    compare: Hom
-
-
 # ---------------------------------------------------------------------------
 # closure machinery
 
@@ -464,30 +440,6 @@ def product(a: FinAlgebra, b: FinAlgebra) -> SpanWitness:
     return SpanWitness(carrier, (p1, p2))
 
 
-def quotient(algebra: FinAlgebra, theta: Congruence) -> tuple[FinAlgebra, Hom]:
-    """Blocks as elements (representative = least member) + canonical surjection."""
-    if theta.parent is not algebra:
-        raise ValidationError("congruence belongs to a different algebra")
-    reps = sorted(set(theta.block_id))
-    index_of = {r: i for i, r in enumerate(reps)}
-    qmap = np.asarray([index_of[r] for r in theta.block_id], dtype=np.int64)
-    rep_arr = np.asarray(reps)
-    m = len(reps)
-    tables = {}
-    for op, k in algebra.signature.ops:
-        t = algebra.tables[op]
-        tables[op] = qmap[t[()]] if k == 0 else qmap[t[np.ix_(*([rep_arr] * k))]]
-    labels = None
-    if algebra.labels:
-        blocks = theta.blocks()
-        labels = tuple("{" + ",".join(algebra.label(i) for i in blk) + "}"
-                       for blk in blocks)
-    q_alg = FinAlgebra(algebra.signature, m, tables,
-                       name=f"{algebra.name}/~" if algebra.name else "",
-                       labels=labels)
-    return q_alg, check_hom(algebra, q_alg, qmap)
-
-
 def hom_violations(dom: FinAlgebra, cod: FinAlgebra,
                    mapping: Sequence[int]) -> list[tuple]:
     """All (op, args, mapped-value, expected-value) preservation failures."""
@@ -521,12 +473,10 @@ def check_hom(dom: FinAlgebra, cod: FinAlgebra, mapping: Sequence[int]) -> Hom:
     return Hom(dom, cod, np.asarray(mapping, dtype=np.int64))
 
 
-def hom_from_table(dom: FinAlgebra, cod: FinAlgebra, mapping: Sequence[int],
-                   strict: bool = True) -> Hom:
-    """Build a Hom; with ``strict=False`` a non-preserving table is allowed
-    and its violations travel with the map instead of raising."""
-    if strict:
-        return check_hom(dom, cod, mapping)
+def hom_from_table(dom: FinAlgebra, cod: FinAlgebra,
+                   mapping: Sequence[int]) -> Hom:
+    """Build a Hom from a recorded table without rejecting it: a
+    non-preserving table keeps its violations instead of raising."""
     bad = hom_violations(dom, cod, mapping)
     return Hom(dom, cod, np.asarray(mapping, dtype=np.int64),
                violations=tuple(bad))
@@ -539,15 +489,6 @@ def identity_hom(algebra: FinAlgebra) -> Hom:
 def zero_hom(dom: FinAlgebra, cod: FinAlgebra) -> Hom:
     """The constant-to-basepoint map (the zero morphism)."""
     return check_hom(dom, cod, np.full(dom.size, cod.basepoint))
-
-
-def compose(outer: Hom, inner: Hom) -> Hom:
-    """outer after inner."""
-    if inner.cod is not outer.dom:
-        raise ValidationError("composition mismatch")
-    violations = inner.violations + outer.violations
-    return Hom(inner.dom, outer.cod, outer.map[inner.map],
-               violations=violations)
 
 
 def kernel_sub(f: Hom) -> Subuniverse:
@@ -609,24 +550,6 @@ def pullback(f: Hom, g: Hom,
         induced["e1"] = check_hom(a_alg, carrier, e1)
         induced["e2"] = check_hom(c_alg, carrier, e2)
     return SpanWitness(carrier, (p1, p2), induced)
-
-
-def pullback_point(p: Hom, pt: PointObject) -> PulledPoint:
-    """Change of base of a point along p: E -> B."""
-    if pt.base is not p.cod:
-        raise ValidationError("point lives over a different base")
-    span = pullback(pt.proj, p)
-    total = span.carrier
-    proj = span.legs[1]
-    compare = span.legs[0]
-    # section e |-> (sect(p(e)), e)
-    nc = p.dom.size
-    pos = {(int(compare.map[i]), int(proj.map[i])): i
-           for i in range(total.size)}
-    sect_map = [pos[(int(pt.sect.map[p.map[e]]), e)] for e in range(nc)]
-    point = PointObject(total, p.dom, proj,
-                        check_hom(p.dom, total, sect_map))
-    return PulledPoint(point, compare)
 
 
 def pullback_congruence(f: Hom, theta: Congruence) -> Congruence:

@@ -4,8 +4,6 @@ Every kind of input the workbench consumes has a JSON form:
 
 * algebra  — ``{name, signature: [{op, arity}], basepoint_op, size,
   tables: {op: row-major flattened array}, labels?}``
-* hom      — ``{dom, cod, map}`` where dom/cod are either catalogue keys
-  (strings) or inline algebra objects
 * profile  — ``{name, signature, basepoint_op, identities, malcev_witness?,
   ssh_certified}`` with identities as prefix-notation term equations
 * admissible diagram — ``{kind: "admissible-diagram", algebras: {A,B,C,D},
@@ -20,6 +18,9 @@ Every kind of input the workbench consumes has a JSON form:
   in basic mode, and R/S are lists of generating pairs (labels or indices)
   on T.
 
+In the last three, each entry of ``algebras`` is a catalogue key (string)
+or an inline algebra object.
+
 One loading rule is deliberate: in a diagram file the comparison leg
 ``gamma`` is restored without rejecting operation-table violations, so a
 recorded counterexample whose comparison map fails to be a homomorphism
@@ -29,7 +30,9 @@ The :class:`Registry` resolves a command-line token to an object: catalogue
 keys hit the built-in library, anything else is treated as a path.  Each
 resolution also yields an input record ``{name, sha256}`` — file inputs are
 hashed over their raw bytes, built-ins over their canonical serialization —
-so run reports can state exactly which inputs produced them.
+so run reports can state exactly which inputs produced them.  A catalogue
+profile is recorded as ``profile:<key>``, and the catalogue algebras a file
+names are recorded before the file.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .varieties import VarietyProfile, builtin_library
 
 __all__ = [
     "algebra_to_json", "algebra_from_json",
-    "hom_to_json", "hom_from_json",
     "profile_to_json", "profile_from_json",
     "diagram_to_json", "diagram_from_json",
     "cospan_to_json", "cospan_from_json",
@@ -182,36 +184,6 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> FinAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# homs
-
-
-def hom_to_json(h: Hom, dom_name: str | None = None,
-                cod_name: str | None = None) -> dict:
-    return {
-        "dom": dom_name if dom_name is not None else algebra_to_json(h.dom),
-        "cod": cod_name if cod_name is not None else algebra_to_json(h.cod),
-        "map": np.asarray(h.map).tolist(),
-    }
-
-
-def hom_from_json(obj: dict, resolve, where: str = "hom") -> Hom:
-    """``resolve`` turns a catalogue key into a FinAlgebra (for string
-    endpoints); inline endpoint objects are parsed in place."""
-    def endpoint(key: str) -> FinAlgebra:
-        val = _need(obj, key, where)
-        if isinstance(val, str):
-            return resolve(val)
-        return algebra_from_json(val, f"{where}.{key}")
-
-    dom, cod = endpoint("dom"), endpoint("cod")
-    flat = _int_list(_need(obj, "map", where), f"{where}.map")
-    if len(flat) != dom.size:
-        raise ValidationError(
-            f"{where}.map: expected {dom.size} entries, got {len(flat)}")
-    return check_hom(dom, cod, flat)
-
-
-# ---------------------------------------------------------------------------
 # profiles
 
 
@@ -294,7 +266,7 @@ def _role_hom(obj: dict, role: str, dom: FinAlgebra, cod: FinAlgebra,
             f" {len(flat)}")
     if strict:
         return check_hom(dom, cod, flat)
-    return hom_from_table(dom, cod, flat, strict=False)
+    return hom_from_table(dom, cod, flat)
 
 
 def diagram_from_json(obj: dict, resolve,
@@ -398,71 +370,57 @@ class Registry:
         self._record(key, sha256_obj(algebra_to_json(alg)))
         return alg
 
+    def _load(self, path: str, parse):
+        """Parse a JSON file with ``parse(obj, where)``; the catalogue
+        algebras it names are recorded before the file itself."""
+        obj, raw = load_json_file(path)
+        out = parse(obj, path)
+        self._record(path, sha256_bytes(raw))
+        return out
+
+    def _resolve(self, token: str, kind: str, catalogue: dict, to_json,
+                 parse, unknown: str, prefix: str = ""):
+        """Catalogue key, else file path, else an "unknown" error."""
+        if token in catalogue:
+            obj = catalogue[token]
+            self._record(prefix + token, sha256_obj(to_json(obj)))
+            return obj
+        if os.path.exists(token):
+            return self._load(token, parse)
+        raise ValidationError(f"unknown {kind} {token!r}{unknown}")
+
+    def _with_library(self, from_json):
+        return lambda obj, where: from_json(
+            obj, self._resolve_library_algebra, where)
+
     # -- public resolution
 
     def algebra(self, token: str) -> FinAlgebra:
-        if token in self.library.algebras:
-            return self._resolve_library_algebra(token)
-        if os.path.exists(token):
-            return self.algebra_file(token)
-        raise ValidationError(
-            f"unknown algebra {token!r}: not a catalogue key and not a"
-            f" file; known keys include {sorted(self.library.algebras)[:8]}")
+        return self._resolve(
+            token, "algebra", self.library.algebras, algebra_to_json,
+            algebra_from_json, ": not a catalogue key and not a file; known"
+            f" keys include {sorted(self.library.algebras)[:8]}")
 
     def algebra_file(self, path: str) -> FinAlgebra:
-        obj, raw = load_json_file(path)
-        alg = algebra_from_json(obj, where=path)
-        self._record(path, sha256_bytes(raw))
-        return alg
+        return self._load(path, algebra_from_json)
 
     def profile(self, token: str) -> VarietyProfile:
-        if token in self.library.profiles:
-            prof = self.library.profiles[token]
-            self._record(f"profile:{token}",
-                         sha256_obj(profile_to_json(prof)))
-            return prof
-        if os.path.exists(token):
-            obj, raw = load_json_file(token)
-            prof = profile_from_json(obj, where=token)
-            self._record(token, sha256_bytes(raw))
-            return prof
-        raise ValidationError(
-            f"unknown profile {token!r}; catalogue profiles:"
-            f" {sorted(self.library.profiles)}")
+        return self._resolve(
+            token, "profile", self.library.profiles, profile_to_json,
+            profile_from_json, "; catalogue profiles:"
+            f" {sorted(self.library.profiles)}", prefix="profile:")
 
     def diagram(self, token: str) -> AdmissibleDiagram:
-        if token in self.library.diagrams:
-            d = self.library.diagrams[token]
-            self._record(token, sha256_obj(diagram_to_json(d)))
-            return d
-        if os.path.exists(token):
-            obj, raw = load_json_file(token)
-            d = diagram_from_json(obj, self._resolve_library_algebra,
-                                  where=token)
-            self._record(token, sha256_bytes(raw))
-            return d
-        raise ValidationError(
-            f"unknown diagram {token!r}; catalogue diagrams:"
+        return self._resolve(
+            token, "diagram", self.library.diagrams, diagram_to_json,
+            self._with_library(diagram_from_json), "; catalogue diagrams:"
             f" {sorted(self.library.diagrams)}")
 
     def cospan(self, token: str) -> WeightedCospan:
-        if token in self.library.cospans:
-            c = self.library.cospans[token]
-            self._record(token, sha256_obj(cospan_to_json(c)))
-            return c
-        if os.path.exists(token):
-            obj, raw = load_json_file(token)
-            c = cospan_from_json(obj, self._resolve_library_algebra,
-                                 where=token)
-            self._record(token, sha256_bytes(raw))
-            return c
-        raise ValidationError(
-            f"unknown cospan {token!r}; catalogue cospans:"
+        return self._resolve(
+            token, "cospan", self.library.cospans, cospan_to_json,
+            self._with_library(cospan_from_json), "; catalogue cospans:"
             f" {sorted(self.library.cospans)}")
 
     def reflection(self, path: str):
-        obj, raw = load_json_file(path)
-        inst = reflection_from_json(obj, self._resolve_library_algebra,
-                                    where=path)
-        self._record(path, sha256_bytes(raw))
-        return inst
+        return self._load(path, self._with_library(reflection_from_json))

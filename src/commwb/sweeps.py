@@ -1,10 +1,9 @@
-"""Exhaustive enumeration and seeded sampling over small finite algebras.
+"""Exhaustive enumeration over small finite algebras.
 
-Batch verification sweeps need three kinds of raw material: every subgroup
-of a small group, every congruence of a small algebra, and reproducible
-random selections from those inventories.  This module produces all of them
-deterministically — results come back in a canonical order and the samplers
-are driven by an explicit seed — so sweep outcomes are stable across runs.
+Batch verification sweeps need two kinds of raw material: every subgroup
+of a small group and every congruence of a small algebra.  This module
+produces both deterministically — results come back in a canonical order —
+so sweep outcomes are stable across runs.
 
 Enumeration strategy:
 
@@ -23,7 +22,6 @@ here tries to be clever beyond that scale.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .commutators import _require_group_signature
 from .core import (Congruence, FinAlgebra, Subuniverse, generate_congruence,
@@ -34,8 +32,6 @@ __all__ = [
     "cyclic_subgroups",
     "congruences",
     "join_subs",
-    "library_algebras",
-    "sample_subgroup_triples",
 ]
 
 
@@ -111,45 +107,3 @@ def congruences(algebra: FinAlgebra) -> tuple[Congruence, ...]:
                 if admit(joined):
                     fresh.append(joined)
     return tuple(sorted(found.values(), key=lambda t: t.block_id))
-
-
-def library_algebras(library, profile: str,
-                     max_size: int | None = None) -> list[tuple[str, FinAlgebra]]:
-    """Catalogue entries carrying the given profile, small ones only.
-
-    Alias keys (containing ``/``) are skipped so each carrier appears once.
-    Sorted by size then key for reproducible sweep order.
-    """
-    picked = []
-    for key in sorted(library.algebras):
-        if "/" in key:
-            continue
-        if library.algebra_profile.get(key) != profile:
-            continue
-        alg = library.algebras[key]
-        if max_size is not None and alg.size > max_size:
-            continue
-        picked.append((key, alg))
-    picked.sort(key=lambda kv: (kv[1].size, kv[0]))
-    return picked
-
-
-def sample_subgroup_triples(entries: list[tuple[str, FinAlgebra]],
-                            count: int, seed: int):
-    """Stratified triples: uniform group, then three uniform subgroups.
-
-    Yields ``(key, algebra, K, L, M)`` tuples, ``count`` of them, fully
-    determined by ``seed``.  Subgroup inventories are computed once per
-    group and cached for the duration of the call.
-    """
-    rng = random.Random(seed)
-    inventory: dict[str, tuple[Subuniverse, ...]] = {}
-    out = []
-    for _ in range(count):
-        key, alg = rng.choice(entries)
-        if key not in inventory:
-            inventory[key] = subgroups(alg)
-        subs = inventory[key]
-        k, l, m = (rng.choice(subs) for _ in range(3))
-        out.append((key, alg, k, l, m))
-    return out

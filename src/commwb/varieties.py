@@ -424,12 +424,6 @@ class Library:
                 f"unknown algebra {key!r}; known: {sorted(self.algebras)}")
         return self.algebras[key]
 
-    def lookup(self, key: str):
-        for table in (self.algebras, self.homs, self.diagrams, self.cospans):
-            if key in table:
-                return table[key]
-        raise ValidationError(f"unknown library key {key!r}")
-
 
 def _klein_four() -> FinAlgebra:
     z2 = cyclic_group(2)
@@ -498,7 +492,7 @@ def _build_hslat_homs(algs: dict) -> dict:
         "paper/hslat-beta": check_hom(b, d, [0, 2]),
         # the recorded gamma table is kept verbatim; it does not preserve
         # meet(a,b), so it travels with its violation list attached
-        "paper/hslat-gamma": hom_from_table(c, d, [0, 2, 2, 2], strict=False),
+        "paper/hslat-gamma": hom_from_table(c, d, [0, 2, 2, 2]),
     }
     return homs
 

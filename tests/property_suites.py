@@ -27,10 +27,11 @@ from commwb.commutators import (cooperator, higgins_binary, higgins_ternary,
 from commwb.core import (check_hom, generate_congruence, generate_subuniverse,
                          image_sub, kernel_sub, power_closure, product,
                          zero_hom)
-from commwb.sweeps import join_subs, library_algebras
+from commwb.sweeps import join_subs
 from commwb.varieties import builtin_library
 from freeprod import (delete_factor, evaluate, identity_word, make_word,
                       word_inverse, word_multiply)
+from sweep_inputs import library_algebras
 
 _LIB = builtin_library()
 

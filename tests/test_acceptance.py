@@ -18,11 +18,11 @@ from commwb.conditions import (admissible, check_ssh_instance,
                                run_paper_examples)
 from commwb.core import generate_subuniverse, identity_hom
 from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
-                           library_algebras, sample_subgroup_triples,
                            subgroups)
 from conftest import ACCEPTANCE_LINES, meet_congruence_blocks
 from property_suites import (run_commutator_laws, run_core_invariants,
                              run_word_laws)
+from sweep_inputs import library_algebras, sample_subgroup_triples
 
 BUDGETS = {1: 1.0, 2: 10.0, 3: 30.0, 4: 30.0, 5: 60.0, 6: 120.0, 7: 60.0,
            8: 120.0, 9: 60.0}

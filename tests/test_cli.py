@@ -100,7 +100,7 @@ def test_out_flag_writes_the_report_file(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# strategies and the word-bound environment fallback
+# strategies and the word bound
 
 
 def test_ternary_defaults_to_group_fast_on_groups(capsys):
@@ -113,15 +113,7 @@ def test_ternary_defaults_to_group_fast_on_groups(capsys):
     assert report["complete"] is True
 
 
-def test_word_bound_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORD_BOUND_ENV, "10")
-    code, report = _run_json(capsys, "commutator", "ternary", "--algebra",
-                             "S3", "--sub", "(12)", "--sub", "(12)",
-                             "--sub", "(123)", "--strategy", "word-oracle")
-    assert code == 0
-    assert report["result"]["strategy"] == "word-oracle(10)"
-    assert report["complete"] is False
-    # an explicit flag still wins over the environment
+def test_word_bound_env_fallback(capsys):
     code, report = _run_json(capsys, "commutator", "ternary", "--algebra",
                              "S3", "--sub", "(12)", "--sub", "(12)",
                              "--sub", "(123)", "--strategy", "word-oracle",
@@ -130,13 +122,28 @@ def test_word_bound_env_fallback(capsys, monkeypatch):
     assert report["result"]["commutator"] == ["e"]
 
 
-def test_word_bound_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv(cli.WORD_BOUND_ENV, "ten")
-    code, out, err = _run(capsys, "commutator", "ternary", "--algebra",
-                          "S3", "--sub", "e", "--sub", "e", "--sub", "e",
-                          "--strategy", "word-oracle")
-    assert code == 2
-    assert "expected an integer" in err
+def test_commands_that_search_no_words_ignore_the_environment(
+        capsys, monkeypatch):
+    commands = (("check", "w", "--cospan", "paper/s3-w"),
+                ("commutator", "weighted", "--cospan", "paper/s3-w",
+                 "--strategy", "ssh-kernel", "--profile", "groups"))
+    for argv in commands:
+        monkeypatch.delenv("COMMWB_WORD_BOUND", raising=False)
+        code, usual = _run_json(capsys, *argv)
+        monkeypatch.setenv("COMMWB_WORD_BOUND", "ten")
+        again_code, again = _run_json(capsys, *argv)
+        assert code == again_code == 1
+        for report in (usual, again):
+            del report["wall_time_ms"]
+        assert again == usual
+
+
+def test_weighted_takes_no_word_bound(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["commutator", "weighted", "--cospan", "paper/s3-w-zero",
+                  "--word-bound", "10"])
+    assert info.value.code == 2
+    assert "--word-bound" in capsys.readouterr().err
 
 
 def test_word_oracle_refuses_an_oversized_search(capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from commwb.conditions import check_reflection_instance
-from commwb.core import ValidationError, identity_hom
+from commwb.core import ValidationError
 from commwb.fileio import (Registry, algebra_from_json, algebra_to_json,
                            canonical_dumps, cospan_from_json, cospan_to_json,
-                           diagram_from_json, diagram_to_json, hom_from_json,
-                           hom_to_json, load_json_file, profile_from_json,
-                           profile_to_json, reflection_from_json, sha256_obj)
+                           diagram_from_json, diagram_to_json, load_json_file,
+                           profile_from_json, profile_to_json,
+                           reflection_from_json, sha256_obj)
 from commwb.varieties import symmetric_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -38,15 +38,6 @@ def test_algebra_round_trip_and_frozen_hash():
         assert np.array_equal(back.tables[op], s3.tables[op])
     assert sha256_obj(obj) == \
         "68fc7a06a493343acd4bfaf503b2ac9bc99ecb982d3526fec027dd1a55727c96"
-
-
-def test_hom_round_trip_inline_and_by_key(lib):
-    h = lib.diagrams["groups/z12-mod3-split"].f
-    inline = hom_from_json(hom_to_json(h), resolve=None)
-    assert np.array_equal(inline.map, h.map)
-    named = hom_from_json(hom_to_json(h, "Z12", "Z3"), resolve=lib.algebra)
-    assert named.dom is lib.algebra("Z12")
-    assert np.array_equal(named.map, h.map)
 
 
 def test_profile_round_trip(lib):
@@ -106,16 +97,17 @@ def test_missing_field_names_its_location():
         algebra_from_json(obj, where="stuff.json")
 
 
-def test_bad_labels_and_bad_map_lengths():
+def test_bad_labels_and_bad_map_lengths(lib):
     s3 = symmetric_group(3)
     obj = algebra_to_json(s3)
     obj["labels"] = ["just-one"]
     with pytest.raises(ValidationError, match=r"labels: expected 6 strings"):
         algebra_from_json(obj)
-    h = hom_to_json(identity_hom(s3))
-    h["map"] = [0, 1]
-    with pytest.raises(ValidationError, match=r"map: expected 6 entries"):
-        hom_from_json(h, resolve=None)
+    c = cospan_to_json(lib.cospans["paper/s3-w"])
+    c["homs"]["x"] = [0]
+    with pytest.raises(ValidationError,
+                       match=r"cospan\.homs\.x: expected 2 entries, got 1"):
+        cospan_from_json(c, resolve=None)
 
 
 # ---------------------------------------------------------------------------

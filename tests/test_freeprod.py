@@ -28,6 +28,16 @@ def _c2_c2_s3():
     return s3, (c2, c2, full)
 
 
+@pytest.fixture(scope="module")
+def c2_c2_s3_words():
+    """The bundled instance's factors, their inclusions into S3 and every
+    co-smash kernel word up to bound 10, enumerated once for the module."""
+    _, subs = _c2_c2_s3()
+    homs = tuple(s.inclusion_hom() for s in subs)
+    factors = tuple(h.dom for h in homs)
+    return factors, homs, list(cosmash_kernel_words(factors, max_len=10))
+
+
 def _record_pairs(buf):
     """Syllable tuples of every record in an engine buffer."""
     out = set()
@@ -113,17 +123,17 @@ def test_delete_factor_is_multiplicative_and_kills_its_factor():
 
 def test_cosmash_kernel_words_die_under_every_deletion():
     _, subs = _c2_c2_s3()
-    factors = tuple(s.as_algebra().algebra for s in subs)
+    factors = tuple(s.as_algebra() for s in subs)
     for w in cosmash_kernel_words(factors, max_len=6):
         for i in range(3):
             assert delete_factor(w, i).syllables == ()
 
 
-def test_engine_agrees_with_definitional_enumerator():
+def test_engine_agrees_with_definitional_enumerator(c2_c2_s3_words):
     _, subs = _c2_c2_s3()
     fast = _record_pairs(ternary_kernel_words(subs, max_len=10))
-    factors = tuple(s.as_algebra().algebra for s in subs)
-    slow = {w.syllables for w in cosmash_kernel_words(factors, max_len=10)}
+    _, _, words = c2_c2_s3_words
+    slow = {w.syllables for w in words}
     # the enumerator also yields the empty word; the engine emits only
     # nonempty ones
     assert () in slow
@@ -149,7 +159,7 @@ def test_engine_counts_frozen_across_bounds():
     # search buffer sized from one or two factors holds
     d4 = dihedral_group(4)
     full8 = Subuniverse(d4, tuple(range(8)))
-    factors = (full8.as_algebra().algebra,) * 3
+    factors = (full8.as_algebra(),) * 3
     assert _record_pairs(ternary_kernel_words((full8,) * 3, max_len=4)) \
         | {()} == {w.syllables for w in cosmash_kernel_words(factors, 4)}
     # every count above is 30 * prod(|K_i| - 1): 150, 30, 810, and 30 * 7^3
@@ -173,25 +183,23 @@ def test_word_cache_drops_its_oldest_records(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
 
 
-def test_kernel_word_evaluations_reach_a3():
+def test_kernel_word_evaluations_reach_a3(c2_c2_s3_words):
     s3, subs = _c2_c2_s3()
     report = higgins_ternary(s3, *subs, "word-oracle", word_bound=10)
     # the words evaluate into the result, and reach both 3-cycles
     assert report.result.members == (0, 3, 4)
     assert {w[-1] for w in report.witnesses} >= {3, 4}
     # the definitional route lands on the same values
-    views = tuple(s.as_algebra() for s in subs)
-    factors = tuple(v.algebra for v in views)
-    homs = tuple(check_hom(v.algebra, s3, v.to_parent) for v in views)
+    _, homs, words = c2_c2_s3_words
     values = {0}
-    for w in cosmash_kernel_words(factors, max_len=10):
+    for w in words:
         values.add(evaluate(w, homs))
     assert values == {0, 3, 4}
 
 
 def test_engine_words_really_lie_in_the_kernel():
     _, subs = _c2_c2_s3()
-    factors = tuple(s.as_algebra().algebra for s in subs)
+    factors = tuple(s.as_algebra() for s in subs)
     words = ternary_kernel_words(subs, max_len=10)
     for pairs in itertools.islice(sorted(_record_pairs(words)), 25):
         w = make_word(factors, pairs)

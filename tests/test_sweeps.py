@@ -4,10 +4,10 @@ import pytest
 
 from commwb.core import ValidationError, generate_subuniverse
 from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
-                           library_algebras, sample_subgroup_triples,
                            subgroups)
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
 from conftest import brute_congruences
+from sweep_inputs import library_algebras, sample_subgroup_triples
 
 
 def test_subgroup_counts_on_small_groups(lib):

@@ -144,11 +144,9 @@ def test_library_ssh_certification_flags(lib):
 
 
 def test_library_lookup_and_errors(lib):
-    assert lib.algebra("S3") is lib.lookup("S3")
+    assert lib.algebra("S3") is lib.algebras["S3"]
     with pytest.raises(ValidationError):
         lib.algebra("S99")
-    with pytest.raises(ValidationError):
-        lib.lookup("nothing-here")
 
 
 def test_recorded_gamma_travels_with_violations(lib):

@@ -3,7 +3,8 @@
 Loads ``src/commwb/_kernel_search.py`` as it stood at a git revision that
 still had the depth-first search, sizes that engine's per-depth candidate
 buffer from the sum of the factor orders (its original width overflows on
-factors of order 8 and more), and checks that both engines return
+factors of order 8 and more), lets it read ``Subuniverse.as_algebra()`` as
+the algebra it now returns, and checks that both engines return
 byte-identical record buffers on:
 
 * every distinct subgroup triple of D4 and Q8 (the triples of acceptance
@@ -34,22 +35,30 @@ from commwb.sweeps import subgroups
 from commwb.varieties import builtin_library
 
 ROOT = Path(__file__).resolve().parent.parent
-OLD_WIDTH = "clist = np.empty((max_len, 2 * nmax + 4), dtype=np.int64)"
-NEW_WIDTH = "clist = np.empty((max_len, int(ns.sum()) + 4), dtype=np.int64)"
+# (old text, new text) edits to the loaded source: the buffer width, and
+# the subalgebra view that ``as_algebra`` no longer returns
+PATCHES = (
+    ("clist = np.empty((max_len, 2 * nmax + 4), dtype=np.int64)",
+     "clist = np.empty((max_len, int(ns.sum()) + 4), dtype=np.int64)"),
+    ("view = sub.as_algebra()\n    alg = view.algebra\n",
+     "alg = sub.as_algebra()\n"),
+    ("len(view.to_parent)", "alg.size"),
+)
 
 
 def load_reference(rev: str):
     source = subprocess.run(
         ["git", "show", f"{rev}:src/commwb/_kernel_search.py"], cwd=ROOT,
         check=True, capture_output=True, text=True).stdout
-    if OLD_WIDTH not in source:
-        sys.exit(f"{rev}: no depth-first candidate buffer to widen")
+    for old, new in PATCHES:
+        if old not in source:
+            sys.exit(f"{rev}: cannot patch the engine, {old!r} not found")
+        source = source.replace(old, new)
     spec = importlib.util.spec_from_loader("commwb._kernel_search_ref",
                                            loader=None)
     module = importlib.util.module_from_spec(spec)
     module.__package__ = "commwb"
-    exec(compile(source.replace(OLD_WIDTH, NEW_WIDTH), f"{rev}:kernel",
-                 "exec"), module.__dict__)
+    exec(compile(source, f"{rev}:kernel", "exec"), module.__dict__)
     return module
 
 
@@ -58,7 +67,7 @@ def instances(lib, cubes):
     for key in ("D4", "Q8"):
         alg = lib.algebra(key)
         for triple in itertools.product(subgroups(alg), repeat=3):
-            views = [s.as_algebra().algebra.tables["mul"] for s in triple]
+            views = [s.as_algebra().tables["mul"] for s in triple]
             ident = tuple(np.asarray(t).tobytes() for t in views)
             if ident not in seen:
                 seen.add(ident)
