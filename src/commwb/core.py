@@ -220,7 +220,9 @@ class Subuniverse:
         return self.members == (self.parent.basepoint,)
 
     def issubset(self, other: "Subuniverse") -> bool:
-        assert other.parent is self.parent
+        if other.parent is not self.parent:
+            raise ValidationError(
+                "issubset: subuniverse of a different parent")
         return set(self.members) <= set(other.members)
 
     def label_set(self) -> tuple[str, ...]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 
 from .commutators import _require_group_signature
-from .core import (Congruence, FinAlgebra, Subuniverse, generate_congruence,
-                   generate_subuniverse)
+from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
+                   generate_congruence, generate_subuniverse)
 
 __all__ = [
     "subgroups",
@@ -40,7 +40,8 @@ def join_subs(algebra: FinAlgebra, *subs: Subuniverse) -> Subuniverse:
     seeds: list[int] = []
     for sub in subs:
         if sub.parent is not algebra:
-            raise ValueError("join_subs: subuniverse of a different parent")
+            raise ValidationError(
+                "join_subs: subuniverse of a different parent")
         seeds.extend(sub.members)
     return generate_subuniverse(algebra, seeds)
 

@@ -409,12 +409,11 @@ def _hslat_product(a: FinAlgebra, b: FinAlgebra, name: str) -> FinAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class Library:
-    """Named immutable catalogue: algebras, maps, diagrams, cospans."""
+    """Named immutable catalogue: algebras, diagrams, cospans."""
 
     profiles: dict
     algebras: dict
     algebra_profile: dict
-    homs: dict
     diagrams: dict
     cospans: dict
 
@@ -478,23 +477,6 @@ def _build_algebras() -> tuple[dict, dict]:
                 "paper/hslat-D"):
         profile_of[key] = "hslat"
     return algebras, profile_of
-
-
-def _build_hslat_homs(algs: dict) -> dict:
-    a, b = algs["paper/hslat-A"], algs["paper/hslat-B"]
-    c, d = algs["paper/hslat-C"], algs["paper/hslat-D"]
-    homs = {
-        "paper/hslat-f": check_hom(a, b, [0, 1, 1]),
-        "paper/hslat-r": check_hom(b, a, [0, 2]),
-        "paper/hslat-g": check_hom(c, b, [0, 0, 1, 1]),
-        "paper/hslat-s": check_hom(b, c, [0, 3]),
-        "paper/hslat-alpha": check_hom(a, d, [0, 1, 2]),
-        "paper/hslat-beta": check_hom(b, d, [0, 2]),
-        # the recorded gamma table is kept verbatim; it does not preserve
-        # meet(a,b), so it travels with its violation list attached
-        "paper/hslat-gamma": hom_from_table(c, d, [0, 2, 2, 2]),
-    }
-    return homs
 
 
 def _scaling_hom(dom: FinAlgebra, cod: FinAlgebra, factor: int) -> Hom:
@@ -565,15 +547,19 @@ def _build_group_diagrams(algs: dict) -> dict:
     return out
 
 
-def _build_hslat_diagram(homs: dict) -> dict:
+def _build_hslat_diagram(algs: dict) -> dict:
     from .conditions import AdmissibleDiagram
 
+    a, b = algs["paper/hslat-A"], algs["paper/hslat-B"]
+    c, d = algs["paper/hslat-C"], algs["paper/hslat-D"]
     return {
         "paper/hslat-adm": AdmissibleDiagram(
-            f=homs["paper/hslat-f"], r=homs["paper/hslat-r"],
-            g=homs["paper/hslat-g"], s=homs["paper/hslat-s"],
-            alpha=homs["paper/hslat-alpha"], beta=homs["paper/hslat-beta"],
-            gamma=homs["paper/hslat-gamma"], name="paper/hslat-adm"),
+            f=check_hom(a, b, [0, 1, 1]), r=check_hom(b, a, [0, 2]),
+            g=check_hom(c, b, [0, 0, 1, 1]), s=check_hom(b, c, [0, 3]),
+            alpha=check_hom(a, d, [0, 1, 2]), beta=check_hom(b, d, [0, 2]),
+            # the recorded gamma table is kept verbatim; it does not
+            # preserve meet(a,b), so it travels with its violation list
+            gamma=hom_from_table(c, d, [0, 2, 2, 2]), name="paper/hslat-adm"),
     }
 
 
@@ -604,11 +590,9 @@ def builtin_library() -> Library:
             assert malcev_check(alg, profile.malcev_witness), \
                 f"builtin {key}: Mal'tsev witness fails"
 
-    homs = _build_hslat_homs(algebras)
-    diagrams = {}
-    diagrams.update(_build_hslat_diagram(homs))
+    diagrams = _build_hslat_diagram(algebras)
     diagrams.update(_build_group_diagrams(algebras))
     cospans = _build_cospans(algebras)
     return Library(profiles=profiles, algebras=algebras,
-                   algebra_profile=profile_of, homs=homs,
-                   diagrams=diagrams, cospans=cospans)
+                   algebra_profile=profile_of, diagrams=diagrams,
+                   cospans=cospans)

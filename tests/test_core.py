@@ -76,6 +76,12 @@ def test_subuniverse_must_be_closed_and_pointed():
     assert sub.label_set() == ("e", "(123)", "(132)")
 
 
+def test_issubset_rejects_a_foreign_subuniverse():
+    s3, z3 = symmetric_group(3), cyclic_group(3)
+    with pytest.raises(ValidationError, match="different parent"):
+        Subuniverse(s3, (0,)).issubset(Subuniverse(z3, (0, 1, 2)))
+
+
 def test_congruence_requires_canonical_blocks_and_compatibility():
     z4 = cyclic_group(4)
     with pytest.raises(ValidationError):

@@ -82,6 +82,13 @@ def test_join_subs_is_the_generated_join():
     assert join_subs(s3, a).members == a.members
 
 
+def test_join_subs_rejects_a_foreign_subuniverse():
+    s3, z6 = symmetric_group(3), cyclic_group(6)
+    with pytest.raises(ValidationError, match="different parent"):
+        join_subs(s3, generate_subuniverse(s3, [2]),
+                  generate_subuniverse(z6, [2]))
+
+
 def test_library_algebras_filters_by_profile_and_size(lib):
     keys = [key for key, _ in library_algebras(lib, "groups", 12)]
     assert keys == ['Z1', 'Z2', 'A3', 'Z3', 'V4', 'Z4', 'Z5', 'S3', 'Z6',

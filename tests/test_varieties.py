@@ -134,7 +134,6 @@ def test_library_inventory_counts(lib):
     assert len(lib.algebras) == 33
     assert len(lib.diagrams) == 8
     assert len(lib.cospans) == 2
-    assert len(lib.homs) == 7
     assert set(lib.profiles) == {"digroups", "groups", "hslat", "loops"}
 
 
@@ -150,7 +149,7 @@ def test_library_lookup_and_errors(lib):
 
 
 def test_recorded_gamma_travels_with_violations(lib):
-    gamma = lib.homs["paper/hslat-gamma"]
+    gamma = lib.diagrams["paper/hslat-adm"].gamma
     assert not gamma.is_valid
     assert len(gamma.violations) > 0
     assert list(gamma.map) == [0, 2, 2, 2]
