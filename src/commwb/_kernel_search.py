@@ -19,8 +19,11 @@ match is verified on the full key.  Records come out lexicographically in
 The widest level has 3(n-1)(2(n-1))^(⌈B/2⌉-1) rows for three factors of
 order n; a search over ``MAX_HALF_WORDS`` is refused before anything is
 allocated.  Results are cached per (table bytes, bound) key, which
-de-duplicates work across subgroup triples with the same local tables; the
-cache keeps at most ``MAX_CACHE_BYTES`` of records, dropping the oldest.
+de-duplicates work across subgroup triples with the same local tables.
+The search also emits each record's start offset, which the returned
+buffer carries as ``starts``, so a caller folds all records at once without
+walking the buffer.  The cache keeps at most ``MAX_CACHE_BYTES`` of records
+and offsets, dropping the oldest buffer with its offsets.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .core import Subuniverse, ValidationError
 
-__all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words", "iter_word_records"]
+__all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words"]
 
 # Syllable bound of the word oracle when the caller gives none.
 DEFAULT_WORD_BOUND = 12
@@ -210,21 +213,42 @@ def _search(tab: _Tables, max_len: int) -> np.ndarray:
     # on the syllable columns puts each word before its extensions
     recs = np.concatenate(found)
     recs = recs[np.lexsort(recs[:, :0:-1].T)]
-    return recs[np.arange(recs.shape[1]) < 1 + 2 * recs[:, :1]]
+    return _flatten(recs)
 
 
-# Record bytes the word cache keeps, oldest dropped first.  The 233
-# searches of a sweep over all subgroup triples of D4 and Q8 plus cold
-# searches up to factor orders (8, 8, 16), at bound 10, keep about 35 MB.
+class _Records(np.ndarray):
+    """A flat record buffer that also carries ``starts``, the offset of each
+    record in it."""
+
+    starts: np.ndarray
+
+
+def _flatten(recs: np.ndarray) -> _Records:
+    """Flat record buffer of padded record rows, with their offsets."""
+    sizes = 1 + 2 * recs[:, 0]
+    buf = recs[np.arange(recs.shape[1]) < sizes[:, None]].view(_Records)
+    buf.starts = np.cumsum(sizes) - sizes
+    buf.setflags(write=False)
+    buf.starts.setflags(write=False)
+    return buf
+
+
+# Bytes of records and start offsets the word cache keeps, oldest dropped
+# first.  The 233 searches of a sweep over all subgroup triples of D4 and
+# Q8 plus cold searches up to factor orders (8, 8, 16), at bound 10, keep
+# about 35 MB.
 MAX_CACHE_BYTES = 1 << 26
 _WORD_CACHE: dict = {}
 
 
 def _local_group_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
-    alg = sub.as_algebra()
-    if alg.basepoint != 0:
+    """The multiplication table of ``sub`` on local indices 0..k-1, where
+    local index i is ``members[i]``."""
+    if sub.members[0] != sub.parent.basepoint:
         raise ValidationError("word oracle needs the identity at local index 0")
-    return np.asarray(alg.tables["mul"], dtype=np.int64), alg.size
+    m = np.asarray(sub.members, dtype=np.int64)
+    mul = sub.parent.tables["mul"][m[:, None], m]
+    return np.searchsorted(m, mul).astype(np.int64, copy=False), len(m)
 
 
 def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
@@ -233,6 +257,7 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     local multiplication tables of three subgroups (identity at index 0).
 
     Record format: length L followed by L (factor, local element) pairs.
+    The buffer's ``starts`` holds the offset of each record.
     Raises ``ValidationError`` when the half-word table would exceed
     ``MAX_HALF_WORDS`` rows.
     """
@@ -260,21 +285,11 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     for i, t in enumerate(tabs):
         mul[i, :sizes[i], :sizes[i]] = t
         inv[i, :sizes[i]] = np.argmin(t, axis=1)
-    result = np.zeros(0, dtype=np.int64) if max_len < 2 else _search(
-        _Tables(mul, inv, np.asarray(sizes), xbits), int(max_len))
-    result.setflags(write=False)
+    result = _flatten(np.zeros((0, 1), dtype=np.int64)) if max_len < 2 \
+        else _search(_Tables(mul, inv, np.asarray(sizes), xbits), int(max_len))
     _WORD_CACHE[key] = result
-    held = sum(buf.nbytes for buf in _WORD_CACHE.values())
+    held = sum(buf.nbytes + buf.starts.nbytes for buf in _WORD_CACHE.values())
     while held > MAX_CACHE_BYTES:
-        held -= _WORD_CACHE.pop(next(iter(_WORD_CACHE))).nbytes
+        old = _WORD_CACHE.pop(next(iter(_WORD_CACHE)))
+        held -= old.nbytes + old.starts.nbytes
     return result
-
-
-def iter_word_records(buf: np.ndarray):
-    """Yield (length, flat (f, x) int array) views over a record buffer."""
-    pos = 0
-    n = len(buf)
-    while pos < n:
-        length = int(buf[pos])
-        yield length, buf[pos + 1: pos + 1 + 2 * length]
-        pos += 1 + 2 * length

@@ -42,8 +42,7 @@ from .core import (
     product,
 )
 from . import terms
-from ._kernel_search import (DEFAULT_WORD_BOUND, iter_word_records,
-                             ternary_kernel_words)
+from ._kernel_search import DEFAULT_WORD_BOUND, ternary_kernel_words
 
 __all__ = [
     "WeightedCospan",
@@ -301,24 +300,30 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
 
 
 def _ternary_word_oracle(D, K, L, M, bound: int) -> CommutatorReport:
-    buf = ternary_kernel_words((K, L, M), bound)
-    to_parent = [np.asarray(s.members, dtype=np.int64) for s in (K, L, M)]
+    words = ternary_kernel_words((K, L, M), bound)
+    # a plain ndarray view, so the fold's results are plain arrays too
+    buf, starts = np.asarray(words), words.starts
+    lengths = buf[starts]
+    to_parent = np.zeros((3, max(len(K), len(L), len(M))), dtype=np.int64)
+    for f, sub in enumerate((K, L, M)):
+        to_parent[f, :len(sub)] = sub.members
     mul = D.tables["mul"]
     bp = D.basepoint
-    found = {bp}
+    # fold every record at once, one syllable position at a time, over the
+    # records that still have a syllable there
+    vals = np.full(len(starts), bp, dtype=np.int64)
+    act = np.arange(len(starts))
+    for i in range(int(lengths.max(initial=0))):
+        act = act[lengths[act] > i]
+        pos = starts[act] + 1 + 2 * i
+        vals[act] = mul[vals[act], to_parent[buf[pos], buf[pos + 1]]]
     witnesses = []
-    for length, rec in iter_word_records(buf):
-        val = bp
-        sylls = []
-        for i in range(length):
-            f = int(rec[2 * i])
-            x = int(to_parent[f][rec[2 * i + 1]])
-            val = int(mul[val, x])
-            sylls.append((f, x))
-        found.add(val)
-        if val != bp and len(witnesses) < _WITNESS_CAP:
-            witnesses.append(("word", tuple(sylls), val))
-    result = generate_subuniverse(D, found)
+    for r in np.flatnonzero(vals != bp)[:_WITNESS_CAP]:
+        rec = buf[starts[r] + 1:starts[r] + 1 + 2 * lengths[r]]
+        sylls = tuple((int(f), int(to_parent[f, x]))
+                      for f, x in rec.reshape(-1, 2))
+        witnesses.append(("word", sylls, int(vals[r])))
+    result = generate_subuniverse(D, np.union1d(vals, [bp]))
     return CommutatorReport(result, f"word-oracle({bound})", complete=False,
                             witnesses=tuple(witnesses))
 

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import commwb._kernel_search as kernel_search
-from commwb._kernel_search import iter_word_records, ternary_kernel_words
-from commwb.commutators import higgins_ternary
-from commwb.core import Subuniverse, check_hom
-from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
+from commwb._kernel_search import ternary_kernel_words
+from commwb.commutators import _WITNESS_CAP, higgins_ternary
+from commwb.core import (FinAlgebra, Subuniverse, ValidationError, check_hom,
+                         generate_subuniverse)
+from commwb.sweeps import subgroups
+from commwb.varieties import (GROUP_SIGNATURE, cyclic_group, dicyclic_group,
+                              dihedral_group, symmetric_group)
 from freeprod import (cosmash_kernel_words, delete_factor, evaluate,
                       identity_word, make_word, word_inverse, word_multiply)
 
@@ -39,12 +42,34 @@ def c2_c2_s3_words():
 
 
 def _record_pairs(buf):
-    """Syllable tuples of every record in an engine buffer."""
-    out = set()
-    for length, flat in iter_word_records(buf):
-        out.add(tuple((int(flat[2 * i]), int(flat[2 * i + 1]))
-                      for i in range(length)))
+    """Syllable tuples of every record in an engine buffer, in record order,
+    walked one length field at a time."""
+    out = []
+    pos = 0
+    while pos < len(buf):
+        length = int(buf[pos])
+        flat = buf[pos + 1:pos + 1 + 2 * length]
+        out.append(tuple((int(flat[2 * i]), int(flat[2 * i + 1]))
+                         for i in range(length)))
+        pos += 1 + 2 * length
     return out
+
+
+def _scalar_word_oracle(D, subs, bound):
+    """Members and witnesses of the word oracle by folding each record of
+    the search syllable by syllable, in record order."""
+    mul, bp = D.tables["mul"], D.basepoint
+    found, witnesses = {bp}, []
+    for pairs in _record_pairs(ternary_kernel_words(subs, bound)):
+        val, sylls = bp, []
+        for f, x in pairs:
+            x = subs[f].members[x]
+            val = int(mul[val, x])
+            sylls.append((f, x))
+        found.add(val)
+        if val != bp and len(witnesses) < _WITNESS_CAP:
+            witnesses.append(("word", tuple(sylls), val))
+    return generate_subuniverse(D, found).members, tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +156,7 @@ def test_cosmash_kernel_words_die_under_every_deletion():
 
 def test_engine_agrees_with_definitional_enumerator(c2_c2_s3_words):
     _, subs = _c2_c2_s3()
-    fast = _record_pairs(ternary_kernel_words(subs, max_len=10))
+    fast = set(_record_pairs(ternary_kernel_words(subs, max_len=10)))
     _, _, words = c2_c2_s3_words
     slow = {w.syllables for w in words}
     # the enumerator also yields the empty word; the engine emits only
@@ -160,7 +185,7 @@ def test_engine_counts_frozen_across_bounds():
     d4 = dihedral_group(4)
     full8 = Subuniverse(d4, tuple(range(8)))
     factors = (full8.as_algebra(),) * 3
-    assert _record_pairs(ternary_kernel_words((full8,) * 3, max_len=4)) \
+    assert set(_record_pairs(ternary_kernel_words((full8,) * 3, max_len=4))) \
         | {()} == {w.syllables for w in cosmash_kernel_words(factors, 4)}
     # every count above is 30 * prod(|K_i| - 1): 150, 30, 810, and 30 * 7^3
     assert len(_record_pairs(
@@ -173,14 +198,43 @@ def test_word_cache_drops_its_oldest_records(monkeypatch):
     monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     bufs = [ternary_kernel_words(t, max_len=10) for t in triples]
     assert all(len(b) for b in bufs) and len(kernel_search._WORD_CACHE) == 3
-    # room for the last two buffers only: the first one goes
+    # room for the last two entries only, records and offsets: the first
+    # one goes
     monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
-                        bufs[1].nbytes + bufs[2].nbytes)
+                        sum(b.nbytes + b.starts.nbytes for b in bufs[1:]))
     again = [ternary_kernel_words(t, max_len=10) for t in triples]
     kept = list(kernel_search._WORD_CACHE.values())
     assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
     assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
+
+
+def test_word_oracle_matches_the_scalar_fold():
+    for D in (dihedral_group(4), dicyclic_group(2), symmetric_group(3)):
+        for subs in itertools.product(subgroups(D), repeat=3):
+            report = higgins_ternary(D, *subs, "word-oracle", word_bound=10)
+            assert (report.result.members, report.witnesses) \
+                == _scalar_word_oracle(D, subs, 10)
+
+
+def test_word_oracle_with_no_kernel_words():
+    s3, subs = _c2_c2_s3()
+    for bound in (9, 1, 0):
+        assert len(ternary_kernel_words(subs, bound)) == 0
+        report = higgins_ternary(s3, *subs, "word-oracle", word_bound=bound)
+        assert report.result.members == (0,) and report.witnesses == ()
+
+
+def test_word_oracle_needs_the_identity_first():
+    # Z3 with its identity at index 2: the whole group's smallest member,
+    # 0, is not the identity
+    v = (np.arange(3) + 1) % 3
+    tables = {"mul": (v[:, None] + v[None, :] - 1) % 3,
+              "inv": (-v - 1) % 3, "e": np.asarray(2)}
+    z3 = FinAlgebra(GROUP_SIGNATURE, 3, tables, name="Z3'")
+    full = Subuniverse(z3, (0, 1, 2))
+    with pytest.raises(ValidationError, match="local index 0"):
+        higgins_ternary(z3, full, full, full, "word-oracle", word_bound=4)
 
 
 def test_kernel_word_evaluations_reach_a3(c2_c2_s3_words):
