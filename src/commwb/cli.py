@@ -48,7 +48,7 @@ from .commutators import (TERNARY_STRATEGIES, WEIGHTED_STRATEGIES,
 from .conditions import (EXAMPLE_NAMES, check_reflection_instance,
                          check_sh_instance, check_ssh_instance,
                          check_w_instance, run_paper_examples)
-from .core import (FinAlgebra, Subuniverse, ValidationError,
+from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
                    generate_congruence, generate_subuniverse, identity_hom)
 from .fileio import Registry, canonical_dumps
 from .varieties import verify_identities
@@ -167,6 +167,15 @@ def _subs_from_args(args, alg: FinAlgebra, want: int) -> list[Subuniverse]:
             for i, s in enumerate(specs)]
 
 
+def _congs_from_args(args, alg: FinAlgebra) -> list[Congruence]:
+    specs = args.cong or []
+    if len(specs) != 2:
+        raise ValidationError(
+            f"expected exactly 2 --cong arguments, got {len(specs)}")
+    return [_cong_from_spec(alg, s, f"--cong #{i + 1}")
+            for i, s in enumerate(specs)]
+
+
 def _cmd_commutator_huq(args, reg: Registry):
     alg = reg.algebra(args.algebra)
     k, l = _subs_from_args(args, alg, 2)
@@ -208,16 +217,10 @@ def _cmd_commutator_ternary(args, reg: Registry):
 
 def _cmd_commutator_smith(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    specs = args.cong or []
-    if len(specs) != 2:
-        raise ValidationError(
-            f"expected exactly 2 --cong arguments, got {len(specs)}")
-    r = _cong_from_spec(alg, specs[0], "--cong #1")
-    s = _cong_from_spec(alg, specs[1], "--cong #2")
-    theta = smith(alg, r, s)
+    theta = smith(alg, *_congs_from_args(args, alg))
     payload = {
         "blocks": _blocks(theta),
-        "is_diagonal": len(set(theta.block_id)) == alg.size,
+        "is_diagonal": theta.is_delta(),
     }
     return payload, True, False
 
@@ -264,13 +267,7 @@ def _cmd_closure_wnormal(args, reg: Registry):
 
 def _cmd_check_sh(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    specs = args.cong or []
-    if len(specs) != 2:
-        raise ValidationError(
-            f"expected exactly 2 --cong arguments, got {len(specs)}")
-    v = check_sh_instance(alg,
-                          _cong_from_spec(alg, specs[0], "--cong #1"),
-                          _cong_from_spec(alg, specs[1], "--cong #2"))
+    v = check_sh_instance(alg, *_congs_from_args(args, alg))
     return _verdict_payload(v), v.complete, not v.instance_satisfies
 
 

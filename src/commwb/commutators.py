@@ -9,8 +9,10 @@ Its elements are exactly the triples (t(k,0), t(0,l), t(k,l)) for terms t,
 so S answers both central questions at once:
 
 * the cooperator: K and L commute precisely when S is the graph of a
-  (total, single-valued) function K x L -> D, and then that function is the
-  cooperating morphism phi with phi(k,0) = k and phi(0,l) = l;
+  (total, single-valued) function K x L -> D, the cooperating morphism
+  phi with phi(k,0) = k and phi(0,l) = l.  ``cooperator`` decides this
+  existence without building phi; a "no" comes with two triples of S
+  that agree on (k, l) and differ on d;
 * the binary commutator [K, L]: the trace {d : (0, 0, d) in S}, i.e. the
   image in D of the kernel of K+L -> KxL, which vanishes exactly when the
   cooperator exists.
@@ -34,12 +36,10 @@ from .core import (
     Hom,
     Subuniverse,
     ValidationError,
-    check_hom,
     generate_congruence,
     generate_subuniverse,
     image_sub,
     power_closure,
-    product,
 )
 from . import terms
 from ._kernel_search import DEFAULT_WORD_BOUND, ternary_kernel_words
@@ -129,20 +129,19 @@ class CommutatorReport:
 class CooperatorOutcome:
     """Existence answer for a cooperator, with evidence.
 
-    ``hom`` is the cooperating morphism K x L -> D when one exists, else
-    None together with a ``conflict``: two generated triples (k, l, d) and
-    (k, l, d') witnessing that joint generation is not single-valued.
+    The cooperator exists exactly when ``conflict`` is None.  Otherwise
+    ``conflict`` holds two generated triples (k, l, d) and (k, l, d')
+    witnessing that joint generation is not single-valued.
     ``commutator`` is [K, L], read off the same joint generation; it is
-    trivial exactly when ``hom`` exists.
+    trivial exactly when the cooperator exists.
     """
 
-    hom: Hom | None
     commutator: Subuniverse
     conflict: tuple | None = None
 
     @property
     def exists(self) -> bool:
-        return self.hom is not None
+        return self.conflict is None
 
     def __bool__(self) -> bool:
         return self.exists
@@ -178,12 +177,12 @@ def _binary_commutator(D: FinAlgebra, pts: np.ndarray) -> Subuniverse:
 
 def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
                ) -> CooperatorOutcome:
-    """The cooperating morphism K x L -> D, if K and L commute.
+    """Whether K and L commute: does a cooperating morphism K x L -> D exist?
 
     Decides whether the joint-generation subalgebra is the graph of a
-    total function on K x L.  Graph + total: returns the function as a
-    validated hom on the product algebra (local product indexing, row k
-    times |L| plus l).  Single-valued but not total: the carrier is not
+    total function on K x L, without building that function.  Not
+    single-valued: no cooperator, and ``conflict`` holds two clashing
+    triples.  Single-valued but not total: the carrier is not
     congruence-permutable at this instance, reported as an error.
     """
     _require_sub_of(D, K, "K")
@@ -191,32 +190,21 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     pts = _triple_trace(D, K, L)
     commutator = _binary_commutator(D, pts)
     n = D.size
-    keys = pts[:, 0] * n + pts[:, 1]
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], pts[order, 2]
+    # power_closure returns rows in key order: rows sharing (k, l) are adjacent
+    keys, vals = pts[:, 0] * n + pts[:, 1], pts[:, 2]
     same = keys[1:] == keys[:-1]
     clash = same & (vals[1:] != vals[:-1])
     if np.any(clash):
         i = int(np.nonzero(clash)[0][0])
         k, l = int(keys[i] // n), int(keys[i] % n)
         conflict = ((k, l, int(vals[i])), (k, l, int(vals[i + 1])))
-        return CooperatorOutcome(hom=None, commutator=commutator,
-                                 conflict=conflict)
-    uniq_keys = keys[np.concatenate(([True], ~same))] if len(keys) else keys
-    if len(uniq_keys) != len(K) * len(L):
+        return CooperatorOutcome(commutator, conflict)
+    distinct = len(keys) - int(np.count_nonzero(same))
+    if distinct != len(K) * len(L):
         raise ValidationError(
             "joint generation failed — input not Mal'tsev at this instance",
-            witness=(len(uniq_keys), len(K) * len(L)))
-
-    karr = np.asarray(K.members, dtype=np.int64)
-    larr = np.asarray(L.members, dtype=np.int64)
-    dom = product(K.as_algebra(), L.as_algebra()).carrier
-    mapping = np.empty(dom.size, dtype=np.int64)
-    kpos = np.searchsorted(karr, pts[:, 0])
-    lpos = np.searchsorted(larr, pts[:, 1])
-    mapping[kpos * len(larr) + lpos] = pts[:, 2]
-    return CooperatorOutcome(hom=check_hom(dom, D, mapping),
-                             commutator=commutator)
+            witness=(distinct, len(K) * len(L)))
+    return CooperatorOutcome(commutator)
 
 
 def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
@@ -505,11 +493,12 @@ def w_normal_closure(D: FinAlgebra, X: Subuniverse, w: Hom) -> Subuniverse:
     is the verification."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
-    comm = higgins_binary(D, image_sub(w), X)
+    W = image_sub(w)
+    comm = higgins_binary(D, W, X)
     if comm.issubset(X):
         return X
     closed = generate_subuniverse(D, set(comm.members) | set(X.members))
-    if not is_w_normal(D, closed, w):
+    if not higgins_binary(D, W, closed).issubset(closed):
         raise ValidationError(
             "closure is not w-normal — instance outside the supported "
             "class", witness=closed.members)
@@ -555,16 +544,16 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
     Y = image_sub(c.y)
 
     if strategy == "proper-commutators":
+        W = image_sub(c.w)
         for sub, role in ((X, "x"), (Y, "y")):
-            if not is_w_normal(D, sub, c.w):
+            if not higgins_binary(D, W, sub).issubset(sub):
                 raise ValidationError(
                     f"cospan is not w-proper: the image of {role} is not "
                     "normalised by the weight image",
                     witness=tuple(sub.members))
         tern = _resolve_ternary_strategy(D, None)
         binary = higgins_binary(D, X, Y)
-        ternary = higgins_ternary(D, X, Y, image_sub(c.w), tern,
-                                  term_depth=term_depth)
+        ternary = higgins_ternary(D, X, Y, W, tern, term_depth=term_depth)
         total = generate_subuniverse(
             D, set(binary.members) | set(ternary.result.members))
         inside = set(total.members)

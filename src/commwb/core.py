@@ -414,32 +414,43 @@ def _check_same_signature(a: FinAlgebra, b: FinAlgebra) -> None:
         raise ValidationError("signature mismatch")
 
 
-def product(a: FinAlgebra, b: FinAlgebra) -> SpanWitness:
-    """Componentwise product; element (x, y) is index x*|B| + y."""
-    _check_same_signature(a, b)
-    na, nb = a.size, b.size
-    n = na * nb
-    ai = np.arange(n) // nb
-    bi = np.arange(n) % nb
+def _fibre_product(a: FinAlgebra, c: FinAlgebra, aarr: np.ndarray,
+                   carr: np.ndarray, name: str
+                   ) -> tuple[SpanWitness, np.ndarray]:
+    """Subalgebra of A x C on the pairs (aarr[i], carr[i]), listed in key
+    order (key x*|C| + y), with its two projections; also returns the map
+    from each key to its pair's index, -1 off the pairs."""
+    _check_same_signature(a, c)
+    nc = c.size
+    pos = np.full(a.size * nc, -1, dtype=np.int64)
+    pos[aarr * nc + carr] = np.arange(len(aarr))
     tables = {}
     for op, k in a.signature.ops:
-        ta, tb = a.tables[op], b.tables[op]
+        ta, tc = a.tables[op], c.tables[op]
         if k == 0:
-            tables[op] = np.asarray(int(ta[()]) * nb + int(tb[()]))
+            code = int(ta[()]) * nc + int(tc[()])
         else:
-            grid_a = ta[np.ix_(*([ai] * k))]
-            grid_b = tb[np.ix_(*([bi] * k))]
-            tables[op] = grid_a * nb + grid_b
+            code = ta[np.ix_(*([aarr] * k))] * nc + tc[np.ix_(*([carr] * k))]
+        tables[op] = pos[code]
+        if np.any(tables[op] < 0):
+            raise ValidationError(f"fibre product is not closed under "
+                                  f"{op!r}: a map does not preserve it")
     labels = None
-    if a.labels and b.labels:
-        labels = tuple(f"({a.label(int(x))},{b.label(int(y))})"
-                       for x, y in zip(ai, bi))
-    carrier = FinAlgebra(a.signature, n, tables,
-                         name=f"{a.name}x{b.name}" if a.name and b.name else "",
+    if a.labels and c.labels:
+        labels = tuple(f"({a.label(int(x))},{c.label(int(y))})"
+                       for x, y in zip(aarr, carr))
+    carrier = FinAlgebra(a.signature, len(aarr), tables,
+                         name=name if a.name and c.name else "",
                          labels=labels)
-    p1 = check_hom(carrier, a, ai)
-    p2 = check_hom(carrier, b, bi)
-    return SpanWitness(carrier, (p1, p2))
+    legs = (check_hom(carrier, a, aarr), check_hom(carrier, c, carr))
+    return SpanWitness(carrier, legs), pos
+
+
+def product(a: FinAlgebra, b: FinAlgebra) -> SpanWitness:
+    """Componentwise product; element (x, y) is index x*|B| + y."""
+    keys = np.arange(a.size * b.size)
+    return _fibre_product(a, b, keys // b.size, keys % b.size,
+                          f"{a.name}x{b.name}")[0]
 
 
 def hom_violations(dom: FinAlgebra, cod: FinAlgebra,
@@ -513,45 +524,18 @@ def pullback(f: Hom, g: Hom,
     if f.cod is not g.cod:
         raise ValidationError("pullback needs a common codomain")
     a_alg, c_alg = f.dom, g.dom
-    _check_same_signature(a_alg, c_alg)
     nc = c_alg.size
-    members = [(x, y)
-               for x in range(a_alg.size) for y in range(nc)
-               if f.map[x] == g.map[y]]
-    pos = np.full(a_alg.size * nc, -1, dtype=np.int64)
-    for i, (x, y) in enumerate(members):
-        pos[x * nc + y] = i
-    aarr = np.asarray([x for x, _ in members])
-    carr = np.asarray([y for _, y in members])
-    tables = {}
-    for op, k in a_alg.signature.ops:
-        ta, tc = a_alg.tables[op], c_alg.tables[op]
-        if k == 0:
-            code = int(ta[()]) * nc + int(tc[()])
-        else:
-            code = ta[np.ix_(*([aarr] * k))] * nc + tc[np.ix_(*([carr] * k))]
-        t = pos[code]
-        assert np.all(np.asarray(t) >= 0), "pullback carrier not closed"
-        tables[op] = t
-    labels = None
-    if a_alg.labels and c_alg.labels:
-        labels = tuple(f"({a_alg.label(x)},{c_alg.label(y)})"
-                       for x, y in members)
-    carrier = FinAlgebra(a_alg.signature, len(members), tables,
-                         name=(f"{a_alg.name}xb{c_alg.name}"
-                               if a_alg.name and c_alg.name else ""),
-                         labels=labels)
-    p1 = check_hom(carrier, a_alg, aarr)
-    p2 = check_hom(carrier, c_alg, carr)
-    induced = {}
+    aarr, carr = np.nonzero(f.map[:, None] == g.map[None, :])
+    span, pos = _fibre_product(a_alg, c_alg, aarr, carr,
+                               f"{a_alg.name}xb{c_alg.name}")
     if r is not None and s is not None:
         e1 = pos[np.arange(a_alg.size) * nc + s.map[f.map]]
         e2 = pos[r.map[g.map] * nc + np.arange(nc)]
         if (e1 < 0).any() or (e2 < 0).any():
             raise ValidationError("sections do not land in the pullback")
-        induced["e1"] = check_hom(a_alg, carrier, e1)
-        induced["e2"] = check_hom(c_alg, carrier, e2)
-    return SpanWitness(carrier, (p1, p2), induced)
+        span.induced["e1"] = check_hom(a_alg, span.carrier, e1)
+        span.induced["e2"] = check_hom(c_alg, span.carrier, e2)
+    return span
 
 
 def pullback_congruence(f: Hom, theta: Congruence) -> Congruence:

@@ -208,12 +208,19 @@ def profile_from_json(obj: dict, where: str = "profile") -> VarietyProfile:
             isinstance(t, str) for t in identities):
         raise ValidationError(f"{where}.identities: expected an array of"
                               " term-equation strings")
+    if not isinstance(obj.get("malcev_witness", ""), str):
+        raise ValidationError(f"{where}.malcev_witness: expected a term"
+                              " string")
+    certified = obj.get("ssh_certified", False)
+    if not isinstance(certified, bool):
+        raise ValidationError(f"{where}.ssh_certified: expected true or"
+                              " false")
     return VarietyProfile(
         name=str(_need(obj, "name", where)),
         signature=sig,
         identities=tuple(identities),
         malcev_witness=obj.get("malcev_witness"),
-        ssh_certified=bool(obj.get("ssh_certified", False)),
+        ssh_certified=certified,
     )
 
 

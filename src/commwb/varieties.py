@@ -37,7 +37,8 @@ from .core import (
     product,
     zero_hom,
 )
-from .terms import eval_term, identity_vars, parse_identity, parse_term, term_vars
+from .terms import (TermError, eval_term, identity_vars, parse_identity,
+                    parse_term, term_vars)
 
 __all__ = [
     "VarietyProfile",
@@ -86,13 +87,16 @@ class VarietyProfile:
     def __post_init__(self):
         object.__setattr__(self, "identities",
                            tuple(str(t) for t in self.identities))
-        for text in self.identities:
-            parse_identity(text, self.signature)
-        if self.malcev_witness is not None:
-            term = parse_term(self.malcev_witness, self.signature)
-            if len(term_vars(term)) != 3:
-                raise ValidationError(
-                    "Mal'tsev witness must be a term in three variables")
+        try:
+            for text in self.identities:
+                parse_identity(text, self.signature)
+            malcev = (None if self.malcev_witness is None
+                      else parse_term(self.malcev_witness, self.signature))
+        except TermError as exc:
+            raise ValidationError(f"profile {self.name!r}: {exc}") from None
+        if malcev is not None and len(term_vars(malcev)) != 3:
+            raise ValidationError(
+                "Mal'tsev witness must be a term in three variables")
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,38 @@ def test_algebra_verify_against_profile(capsys, tmp_path):
     assert failures and "assignment" in failures[0]
 
 
+def _profile_file(tmp_path, **fields):
+    with open(os.path.join(FIXTURES, "groups-profile.json")) as fh:
+        profile = json.load(fh)
+    profile.update(fields)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value", [("ssh_certified", "false"),
+                                          ("ssh_certified", 1),
+                                          ("malcev_witness", 5)])
+def test_mistyped_profile_fields_are_input_errors(capsys, tmp_path, field,
+                                                  value):
+    path = _profile_file(tmp_path, **{field: value})
+    code, out, err = _run(capsys, "commutator", "weighted", "--cospan",
+                          "paper/s3-w", "--strategy", "ssh-kernel",
+                          "--profile", path)
+    assert code == 2 and out == ""
+    assert f"commwb: error: {path}.{field}:" in err
+
+
+@pytest.mark.parametrize("identity", ["mul(x0, x1 = x0", "foo(x0) = x0"])
+def test_malformed_profile_identity_is_an_input_error(capsys, tmp_path,
+                                                      identity):
+    path = _profile_file(tmp_path, identities=[identity])
+    code, out, err = _run(capsys, "algebra", "verify", "--algebra", "S3",
+                          "--profile", path)
+    assert code == 2 and out == ""
+    assert err.startswith("commwb: error:")
+
+
 def test_ternary_default_needs_group_arities_not_just_names(capsys,
                                                            tmp_path):
     # Z3 with mul/2 and a binary "inv" (subtraction): group op names, but

@@ -10,8 +10,8 @@ from commwb.commutators import (WEIGHTED_STRATEGIES, CommutatorReport,
                                 WeightedCospan, commute_over, cooperator,
                                 higgins_binary, higgins_ternary, is_w_normal,
                                 normalise, smith, w_normal_closure)
-from commwb.core import (Subuniverse, ValidationError, check_hom,
-                         generate_congruence, generate_subuniverse,
+from commwb.core import (FinAlgebra, Signature, Subuniverse, ValidationError,
+                         check_hom, generate_congruence, generate_subuniverse,
                          identity_hom, image_sub, power_closure)
 from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
@@ -30,15 +30,27 @@ def test_cooperator_exists_for_commuting_pair():
     z6 = cyclic_group(6)
     K, L = _sub(z6, 2), _sub(z6, 3)
     out = cooperator(z6, K, L)
-    assert out.exists and bool(out)
-    hom = out.hom
-    assert hom.is_valid and hom.cod is z6
-    assert hom.dom.size == len(K) * len(L)
-    # the cooperating map is addition on the grid, in particular it
-    # restricts to the two inclusions along the axes
-    for i, k in enumerate(K.members):
-        for j, l in enumerate(L.members):
-            assert hom.map[i * len(L) + j] == (k + l) % 6
+    assert out.exists and bool(out) and out.conflict is None
+    assert out.commutator.is_zero()
+    # the joint-generation rows are the graph of the cooperating map, and
+    # that map is addition on the grid: in particular it restricts to the
+    # two inclusions along the axes
+    seeds = [(k, 0, k) for k in K.members] + [(0, l, l) for l in L.members]
+    rows = {tuple(int(v) for v in row)
+            for row in power_closure(z6, seeds, width=3)}
+    assert rows == {(k, l, (k + l) % 6) for k in K.members for l in L.members}
+
+
+def test_cooperator_rejects_a_non_maltsev_instance():
+    # one binary left projection: joint generation stays on the two axes,
+    # so it is single-valued but reaches only 3 of the 4 pairs of K x L
+    sig = Signature(ops=(("lp", 2), ("e", 0)), basepoint_op="e")
+    lp = np.repeat(np.arange(3)[:, None], 3, axis=1)
+    alg = FinAlgebra(sig, 3, {"lp": lp, "e": np.asarray(0)})
+    K, L = Subuniverse(alg, (0, 1)), Subuniverse(alg, (0, 2))
+    with pytest.raises(ValidationError, match="input not Mal'tsev") as err:
+        cooperator(alg, K, L)
+    assert err.value.witness == (3, 4)
 
 
 def test_cooperator_conflict_for_non_commuting_pair():

@@ -174,6 +174,14 @@ def test_pullback_with_sections_induces_splittings():
     assert np.array_equal(span.legs[0].map[e2.map], r.map[f.map])
 
 
+def test_pullback_of_a_non_hom_names_the_operation(lib):
+    # the recorded gamma of the hslat diagram does not preserve meet, so
+    # its kernel pair is not closed under meet
+    gamma = lib.diagrams["paper/hslat-adm"].gamma
+    with pytest.raises(ValidationError, match="not closed under 'meet'"):
+        pullback(gamma, gamma)
+
+
 # ---------------------------------------------------------------------------
 # kernels and images
 
