@@ -4,7 +4,12 @@ Everything downstream (commutators, condition checkers) reduces to the
 machinery here: subuniverse and congruence generation, products, pullbacks,
 kernels.  One closure engine, ``_closure``, computes every generated
 subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
-search, relations in a product of two algebras.  Elements are dense
+search, relations in a product of two algebras.  A bounded memo sits in
+front of it: a closure asked again with the same factor algebras (the same
+objects) and the same set of seed rows returns the rows of the first call,
+read-only.  The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and
+a fixed charge per entry), dropping its oldest entry first; the fill-in
+search's derivations are never memoized.  Elements are dense
 indices 0..n-1; the basepoint is the value of the signature's designated
 nullary operation (identity element for groups, top for Heyting
 semilattices) -- explicit data, never a convention.
@@ -52,6 +57,10 @@ __all__ = [
 # takes one byte per row, before any row is found.
 MAX_CLOSURE_KEYS = 1 << 24
 _CHUNK = 1 << 18      # candidate rows evaluated at once
+# Bytes of closure rows the memo keeps, and what it charges each entry on
+# top of its rows and key (dict slot, key tuple, array header).
+MAX_MEMO_BYTES = 1 << 24
+_MEMO_ENTRY_BYTES = 512
 
 
 class ValidationError(ValueError):
@@ -352,11 +361,11 @@ class SpanWitness:
 
 def generate_subuniverse(algebra: FinAlgebra, gens: Iterable[int]) -> Subuniverse:
     """Least subuniverse containing ``gens`` and the basepoint."""
-    gens = [int(g) for g in gens]
-    for g in gens:
-        if not 0 <= g < algebra.size:
-            raise ValidationError(f"generator {g} out of range")
-    rows = _closure((algebra,), np.asarray(gens, dtype=np.int64)[:, None])
+    gens = np.fromiter(gens, dtype=np.int64)
+    if _out_of_range(gens, algebra.size):
+        bad = gens[(gens < 0) | (gens >= algebra.size)]
+        raise ValidationError(f"generator {bad[0]} out of range")
+    rows = _closure((algebra,), gens[:, None])
     return Subuniverse(algebra, tuple(rows[:, 0].tolist()))
 
 
@@ -553,17 +562,23 @@ def power_closure(algebra: FinAlgebra, seeds: Iterable[Sequence[int]],
                   width: Optional[int] = None) -> np.ndarray:
     """Subalgebra of algebra^m generated by ``seeds``, as a (count, m) array
     of componentwise tuples in encoded-key order."""
-    seeds = [tuple(int(x) for x in t) for t in seeds]
+    seeds = list(seeds)
     if width is None:
         if not seeds:
             raise ValidationError("power_closure needs seeds or a width")
         width = len(seeds[0])
-    if any(len(t) != width for t in seeds):
+    if set(map(len, seeds)) - {width}:
         raise ValidationError("seed width mismatch")
-    if any(not 0 <= x < algebra.size for t in seeds for x in t):
+    rows = np.asarray(seeds, dtype=np.int64).reshape(-1, width)
+    if _out_of_range(rows, algebra.size):
         raise ValidationError("seed out of range")
-    return _closure((algebra,) * width,
-                    np.asarray(seeds, dtype=np.int64).reshape(-1, width))
+    return _closure((algebra,) * width, rows)
+
+
+def _out_of_range(values: np.ndarray, size: int) -> bool:
+    """Whether any int64 value lies outside 0..size-1 (read unsigned, a
+    negative value is above every size)."""
+    return bool(values.size) and int(values.view(np.uint64).max()) >= size
 
 
 def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
@@ -571,6 +586,8 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     """Subalgebra of A1 x ... x Am generated by the rows ``seeds`` (inside
     the product) and the constants, as a (count, m) array of rows in key
     order; a row's key is its mixed-radix index, first coordinate first.
+    Without derivations the array is read-only and may be the memo's,
+    from an earlier call with the same factors and the same seed set.
 
     Semi-naive: round r applies each k-ary operation only to argument
     tuples holding a row found in round r-1.  For argument position i,
@@ -595,11 +612,23 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
             f" {tuple(sizes)}) is above the limit of {MAX_CLOSURE_KEYS:,}")
     strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
     digits = np.asarray([strides, sizes])
+    seed_keys = seeds @ digits[0]
+    if not derivations:
+        # formed only now: out-of-range rows could alias in-range keys.
+        # The sorted distinct seed keys by hand: np.unique imports
+        # numpy.ma on its first call, 20 ms of every CLI start.
+        ordered = np.sort(seed_keys)
+        distinct = np.ones(len(ordered), dtype=bool)
+        distinct[1:] = ordered[1:] != ordered[:-1]
+        memo_key = (tuple(map(id, factors)), ordered[distinct].tobytes())
+        hit = _MEMO.get(memo_key, factors)
+        if hit is not None:
+            return hit
     sig = factors[0].signature.ops
     consts = [(op, sum(st * int(a.tables[op][()])
                        for st, a in zip(strides, factors)))
               for op, k in sig if k == 0]
-    start = (seeds @ digits[0]).tolist() + [key for _, key in consts]
+    start = seed_keys.tolist() + [key for _, key in consts]
     state = np.zeros(total, dtype=np.uint8)   # 0 unseen, 1 new, 2 older
     state[start] = 1
     how: dict = {}
@@ -655,8 +684,52 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
         grew += _mark(found, state)
     keys = state.nonzero()[0]
     rows = keys[:, None] // digits[0] % digits[1]
-    return (rows, [how[key] for key in keys.tolist()]) if derivations \
-        else rows
+    if derivations:
+        return rows, [how[key] for key in keys.tolist()]
+    return _MEMO.put(memo_key, factors, rows)
+
+
+class _ClosureMemo:
+    """Closure rows by (ids of the factors, sorted seed keys).
+
+    An entry holds its factors, so no id in a live key is reused; a hit
+    also checks them by identity.  Entries are charged their rows, their
+    key bytes and ``_MEMO_ENTRY_BYTES``; past ``MAX_MEMO_BYTES`` the
+    oldest go first.  ``held`` is the running total.
+    """
+
+    def __init__(self):
+        self.entries: dict = {}
+        self.held = 0
+
+    def get(self, key, factors) -> Optional[np.ndarray]:
+        entry = self.entries.get(key)
+        if entry is None or any(a is not b for a, b in zip(entry[0], factors)):
+            return None
+        return entry[1]
+
+    def put(self, key, factors, rows: np.ndarray) -> np.ndarray:
+        rows.setflags(write=False)
+        cost = _memo_cost(key, rows)
+        if cost > MAX_MEMO_BYTES:
+            return rows
+        self.entries[key] = (tuple(factors), rows)
+        self.held += cost
+        while self.held > MAX_MEMO_BYTES:
+            old_key = next(iter(self.entries))
+            self.held -= _memo_cost(old_key, self.entries.pop(old_key)[1])
+        return rows
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.held = 0
+
+
+def _memo_cost(key, rows: np.ndarray) -> int:
+    return rows.nbytes + len(key[1]) + _MEMO_ENTRY_BYTES
+
+
+_MEMO = _ClosureMemo()
 
 
 def _apply(table: np.ndarray, lifted: np.ndarray, rows: np.ndarray, spans,

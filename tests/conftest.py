@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from commwb import core
 from commwb.varieties import builtin_library
 
 # Per-criterion verdict lines queued by tests/test_acceptance.py; the
@@ -30,6 +31,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def lib():
     return builtin_library()
+
+
+@pytest.fixture(autouse=True)
+def empty_closure_memo():
+    """Each test starts with no closures remembered, so that the order of
+    the tests cannot hide a fault of a cold closure."""
+    core._MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb import commutators
+from commwb import commutators, core
 from commwb.commutators import (WEIGHTED_STRATEGIES, CommutatorReport,
                                 WeightedCospan, commute_over, cooperator,
                                 higgins_binary, higgins_ternary, is_w_normal,
@@ -78,6 +78,29 @@ def test_cooperator_mirrors_binary_triviality_everywhere():
                                                       l.members)
             assert cooperator(alg, k, l).commutator.members == \
                 higgins_binary(alg, k, l).members
+
+
+def test_joint_generations_from_the_memo_match_cold_ones(lib):
+    groups = [a for key, a in lib.algebras.items()
+              if lib.algebra_profile[key] == "groups" and a.size <= 12]
+    assert len(groups) == 21
+
+    def answers(D, K, L, cold):
+        got = []
+        for call in (cooperator, higgins_binary):
+            if cold:
+                core._MEMO.clear()
+            got.append(call(D, K, L))
+        out, binary = got
+        return out.conflict, out.commutator.members, binary.members
+
+    for D in groups:
+        pairs = list(itertools.product(cyclic_subgroups(D), repeat=2))
+        warm = [answers(D, K, L, False) for K, L in pairs]
+        assert [answers(D, K, L, False) for K, L in pairs] == warm
+        for (K, L), got in zip(pairs, warm):
+            assert answers(D, K, L, True) == got, (D.name, K.members,
+                                                   L.members)
 
 
 # ---------------------------------------------------------------------------

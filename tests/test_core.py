@@ -245,6 +245,7 @@ def test_power_closure_is_the_same_in_small_chunks(monkeypatch):
     seeds = [(1, 0, 1, 0), (0, 2, 0, 2), (3, 3, 5, 5)]
     whole = power_closure(d4, seeds)
     monkeypatch.setattr(core, "_CHUNK", 7)
+    core._MEMO.clear()  # else the second call returns the memo's rows
     assert np.array_equal(power_closure(d4, seeds), whole)
 
 
@@ -264,3 +265,97 @@ def test_closure_under_a_ternary_operation_matches_brute_closure():
             members |= new
         assert {tuple(r) for r in power_closure(alg, seeds)} == members
     assert generate_subuniverse(alg, [4]).members == (0, 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# closure memo
+
+
+def _relabel(alg, perm):
+    """The same algebra with element x renamed perm[x]."""
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    tables = {op: perm[alg.tables[op][np.ix_(*[back] * k)] if k
+                       else alg.tables[op]]
+              for op, k in alg.signature.ops}
+    return FinAlgebra(alg.signature, alg.size, tables)
+
+
+def test_power_closure_seeds_are_checked_as_before():
+    z4 = cyclic_group(4)
+    for seeds, width, message in (([(0, 1), (2,)], None, "width mismatch"),
+                                  ([(0, 1)], 3, "width mismatch"),
+                                  ([(0, 4)], None, "out of range"),
+                                  ([(-1, 0)], None, "out of range"),
+                                  ([], None, "needs seeds or a width")):
+        with pytest.raises(ValidationError, match=message):
+            power_closure(z4, seeds, width)
+    with pytest.raises(ValidationError, match="generator -1 out of range"):
+        generate_subuniverse(z4, [1, -1, 4])
+    assert power_closure(z4, [], width=2).tolist() == [[0, 0]]
+
+
+def test_closure_memo_hit_returns_the_same_read_only_rows():
+    d4 = dihedral_group(4)
+    seeds = [(1, 0, 1), (0, 2, 2)]
+    first = power_closure(d4, seeds)
+    # the same set of seed rows, in another order and with repeats
+    again = power_closure(d4, seeds[::-1] + seeds)
+    assert again is first and len(core._MEMO.entries) == 1
+    with pytest.raises(ValueError):
+        again[0, 0] = 1
+    core._MEMO.clear()
+    cold = power_closure(d4, seeds)
+    assert cold is not first and np.array_equal(cold, first)
+
+
+def test_closure_memo_drops_its_oldest_rows(monkeypatch):
+    d4 = dihedral_group(4)
+    seed_sets = [[(1, 0)], [(0, 2)], [(3, 5)]]
+    rows = [power_closure(d4, s) for s in seed_sets]
+    keys = list(core._MEMO.entries)
+    costs = [core._memo_cost(k, r) for k, r in zip(keys, rows)]
+    assert len(keys) == 3 and core._MEMO.held == sum(costs)
+    # room for the last two entries only: the first one goes
+    core._MEMO.clear()
+    monkeypatch.setattr(core, "MAX_MEMO_BYTES", sum(costs[1:]))
+    again = [power_closure(d4, s) for s in seed_sets]
+    kept = [r for _, r in core._MEMO.entries.values()]
+    assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
+    assert core._MEMO.held == sum(costs[1:])
+    assert all(np.array_equal(a, b) for a, b in zip(again, rows))
+    # an entry above the bound on its own is not kept, and drops nothing
+    monkeypatch.setattr(core, "MAX_MEMO_BYTES", max(costs) - 1)
+    core._MEMO.clear()
+    power_closure(d4, seed_sets[0])
+    assert not core._MEMO.entries and core._MEMO.held == 0
+
+
+def test_closure_memo_keeps_each_algebra_apart():
+    z6 = cyclic_group(6)
+    twin = FinAlgebra(z6.signature, 6, z6.tables)  # equal tables, new object
+    swapped = _relabel(z6, [0, 2, 1, 3, 4, 5])    # 1 and 2 trade names
+    algebras = (z6, twin, swapped)
+    want = [(0, 2, 4), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
+    assert [generate_subuniverse(a, [2]).members for a in algebras] == want
+    assert len(core._MEMO.entries) == 3
+    assert [generate_subuniverse(a, [2]).members for a in algebras] == want
+    assert len(core._MEMO.entries) == 3
+    assert [entry[0][0] for entry in core._MEMO.entries.values()] \
+        == list(algebras)
+    # an entry under z6's id that holds another algebra is not a hit
+    key = next(iter(core._MEMO.entries))
+    core._MEMO.entries[key] = ((swapped,), np.arange(6)[:, None])
+    assert generate_subuniverse(z6, [2]).members == (0, 2, 4)
+
+
+def test_closure_memo_never_serves_derivations():
+    d4 = dihedral_group(4)
+    seeds = np.asarray([(1, 2), (3, 0)])
+    plain = core._closure((d4, d4), seeds)
+    rows, how = core._closure((d4, d4), seeds, derivations=True)
+    assert rows is not plain and rows.flags.writeable
+    assert np.array_equal(rows, plain) and len(how) == len(rows)
+    core._MEMO.clear()
+    core._closure((d4, d4), seeds, derivations=True)
+    assert not core._MEMO.entries
