@@ -40,6 +40,7 @@ from .core import (
     generate_subuniverse,
     image_sub,
     power_closure,
+    _sorted_distinct,
 )
 from . import terms
 from ._kernel_search import DEFAULT_WORD_BOUND, ternary_kernel_words
@@ -168,11 +169,22 @@ def _triple_trace(D: FinAlgebra, K: Subuniverse, L: Subuniverse) -> np.ndarray:
     return power_closure(D, seeds, width=3)
 
 
+def _basepoint_part(D: FinAlgebra, members: tuple[int, ...]) -> Subuniverse:
+    """The sorted distinct elements in the basepoint's place of a
+    subalgebra (a trace of joint generation, the basepoint block of a
+    congruence).  They are closed when every operation of D fixes the
+    basepoint; otherwise they are checked."""
+    if D.fixes_basepoint:
+        return Subuniverse._trusted(D, members)
+    return Subuniverse(D, members)
+
+
 def _binary_commutator(D: FinAlgebra, pts: np.ndarray) -> Subuniverse:
-    """[K, L] from the joint-generation rows: {d : (0, 0, d)}."""
+    """[K, L] from the joint-generation rows: {d : (0, 0, d)}, in key
+    order."""
     bp = D.basepoint
     mask = (pts[:, 0] == bp) & (pts[:, 1] == bp)
-    return Subuniverse(D, tuple(int(d) for d in pts[mask, 2]))
+    return _basepoint_part(D, tuple(pts[mask, 2].tolist()))
 
 
 def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
@@ -268,7 +280,7 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
               (Mm, Km, Lm, "[[M,K],L]"))
     for A, B, C, shape in shapes:
         grid = _double_bracket_grid(D, A, B, C)
-        seeds.update(int(v) for v in np.unique(grid))
+        seeds.update(_sorted_distinct(grid.ravel()).tolist())
         if len(witnesses) < _WITNESS_CAP:
             for ia, ib, ic in np.argwhere(grid != bp)[:_WITNESS_CAP]:
                 if len(witnesses) >= _WITNESS_CAP:
@@ -281,8 +293,8 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
     # by their conjugates j·s·j⁻¹ over every j in the join
     mul, inv = D.tables["mul"], D.tables["inv"]
     j, s = np.asarray(join.members), np.asarray(sorted(seeds))
-    result = generate_subuniverse(
-        D, np.unique(mul[mul[j[:, None], s[None, :]], inv[j][:, None]]))
+    result = generate_subuniverse(D, _sorted_distinct(
+        mul[mul[j[:, None], s[None, :]], inv[j][:, None]].ravel()))
     return CommutatorReport(result, "group-fast", complete=True,
                             witnesses=tuple(witnesses))
 
@@ -311,7 +323,7 @@ def _ternary_word_oracle(D, K, L, M, bound: int) -> CommutatorReport:
         sylls = tuple((int(f), int(to_parent[f, x]))
                       for f, x in rec.reshape(-1, 2))
         witnesses.append(("word", sylls, int(vals[r])))
-    result = generate_subuniverse(D, np.union1d(vals, [bp]))
+    result = generate_subuniverse(D, _sorted_distinct(vals))
     return CommutatorReport(result, f"word-oracle({bound})", complete=False,
                             witnesses=tuple(witnesses))
 
@@ -376,7 +388,7 @@ def _ternary_term_depth(D, K, L, M, depth: int) -> CommutatorReport:
                 and np.all(vals[np.ix_(bparr, Lm, Mm)] == bp)):
             continue
         sub = vals[np.ix_(Km, Lm, Mm)]
-        found.update(int(v) for v in np.unique(sub))
+        found.update(_sorted_distinct(sub.ravel()).tolist())
         if len(witnesses) < _WITNESS_CAP:
             for ik, il, im in np.argwhere(sub != bp)[:1]:
                 witnesses.append(
@@ -453,7 +465,7 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
     while True:
         bid = np.asarray(theta.block_id)
         mask = bid[x] == bid[y]
-        forced = np.unique(z[mask] * D.size + w[mask])
+        forced = _sorted_distinct(z[mask] * D.size + w[mask])
         pairs = [(int(p // D.size), int(p % D.size)) for p in forced]
         nxt = generate_congruence(
             D, tuple(theta.spanning_pairs()) + tuple(pairs))
@@ -467,7 +479,7 @@ def normalise(theta: Congruence) -> Subuniverse:
     bp = theta.parent.basepoint
     root = theta.block_id[bp]
     members = tuple(i for i, r in enumerate(theta.block_id) if r == root)
-    return Subuniverse(theta.parent, members)
+    return _basepoint_part(theta.parent, members)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,15 @@ front of it: a closure asked again with the same factor algebras (the same
 objects) and the same set of seed rows returns the rows of the first call,
 read-only.  The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and
 a fixed charge per entry), dropping its oldest entry first; the fill-in
-search's derivations are never memoized.  Elements are dense
+search's derivations are never memoized.  Each ``Hom`` remembers its
+image: ``image_sub`` checks it as a subuniverse on the first call and
+returns the same object after, and a failed check is not remembered.
+
+Inputs are checked where they come in: the public constructors, files
+and the CLI.  Results the engine builds closed by construction (generated
+subuniverses and congruences, and on algebras whose operations all fix
+the basepoint, commutator traces and basepoint blocks) are made with
+``_trusted``, which skips the re-check.  Elements are dense
 indices 0..n-1; the basepoint is the value of the signature's designated
 nullary operation (identity element for groups, top for Heyting
 semilattices) -- explicit data, never a convention.
@@ -97,7 +105,12 @@ class Signature:
 
 @dataclass(frozen=True, eq=False)
 class FinAlgebra:
-    """A finite algebra: one numpy table of shape (size,)*arity per op."""
+    """A finite algebra: one numpy table of shape (size,)*arity per op.
+
+    ``fixes_basepoint`` is set on construction: whether f(bp, ..., bp) = bp
+    for every operation f, so that the elements in the basepoint's place
+    of any subalgebra of a power form a subuniverse.
+    """
 
     signature: Signature
     size: int
@@ -129,6 +142,9 @@ class FinAlgebra:
             if len(labels) != self.size:
                 raise ValidationError("labels length != size")
             object.__setattr__(self, "labels", labels)
+        bp = (int(norm[self.signature.basepoint_op][()]),)
+        object.__setattr__(self, "fixes_basepoint", all(
+            int(t[bp * t.ndim]) == bp[0] for t in norm.values()))
 
     @property
     def basepoint(self) -> int:
@@ -219,6 +235,16 @@ class Subuniverse:
                     f"not closed under {op!r} (escapes to {int(escaped[0])})",
                     witness=(op, int(escaped[0])))
 
+    @classmethod
+    def _trusted(cls, parent: FinAlgebra,
+                 members: tuple[int, ...]) -> "Subuniverse":
+        """A subuniverse from members known sorted, distinct, pointed and
+        closed, without the re-check."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
+
     def __contains__(self, i: int) -> bool:
         return int(i) in set(self.members)
 
@@ -287,6 +313,16 @@ class Congruence:
                 raise ValidationError(
                     f"partition not compatible with {op!r}",
                     witness=(op, tuple(int(x) for x in bad)))
+
+    @classmethod
+    def _trusted(cls, parent: FinAlgebra,
+                 block_id: tuple[int, ...]) -> "Congruence":
+        """A congruence from block ids known canonical and compatible,
+        without the re-check."""
+        theta = object.__new__(cls)
+        object.__setattr__(theta, "parent", parent)
+        object.__setattr__(theta, "block_id", block_id)
+        return theta
 
     # -- builders ----------------------------------------------------------
     @classmethod
@@ -366,7 +402,8 @@ def generate_subuniverse(algebra: FinAlgebra, gens: Iterable[int]) -> Subunivers
         bad = gens[(gens < 0) | (gens >= algebra.size)]
         raise ValidationError(f"generator {bad[0]} out of range")
     rows = _closure((algebra,), gens[:, None])
-    return Subuniverse(algebra, tuple(rows[:, 0].tolist()))
+    # key order: sorted and distinct, with the constants
+    return Subuniverse._trusted(algebra, tuple(rows[:, 0].tolist()))
 
 
 def generate_congruence(algebra: FinAlgebra,
@@ -410,7 +447,8 @@ def generate_congruence(algebra: FinAlgebra,
                 diff = root[va] != root[vb]
                 if diff.any():
                     queue.extend(zip(va[diff].tolist(), vb[diff].tolist()))
-    return Congruence(algebra, tuple(int(x) for x in root))
+    # every class merges into its least root, so the ids are canonical
+    return Congruence._trusted(algebra, tuple(root.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +558,13 @@ def kernel_sub(f: Hom) -> Subuniverse:
 
 
 def image_sub(f: Hom) -> Subuniverse:
-    return Subuniverse(f.cod, tuple(int(v) for v in set(f.map.tolist())))
+    """The image of f, checked as a subuniverse on the first call (a map
+    need not preserve the operations) and kept on f after that."""
+    image = f.__dict__.get("_image")
+    if image is None:
+        image = Subuniverse(f.cod, tuple(set(f.map.tolist())))
+        object.__setattr__(f, "_image", image)
+    return image
 
 
 def pullback(f: Hom, g: Hom,
@@ -614,13 +658,9 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     digits = np.asarray([strides, sizes])
     seed_keys = seeds @ digits[0]
     if not derivations:
-        # formed only now: out-of-range rows could alias in-range keys.
-        # The sorted distinct seed keys by hand: np.unique imports
-        # numpy.ma on its first call, 20 ms of every CLI start.
-        ordered = np.sort(seed_keys)
-        distinct = np.ones(len(ordered), dtype=bool)
-        distinct[1:] = ordered[1:] != ordered[:-1]
-        memo_key = (tuple(map(id, factors)), ordered[distinct].tobytes())
+        # formed only now: out-of-range rows could alias in-range keys
+        memo_key = (tuple(map(id, factors)),
+                    _sorted_distinct(seed_keys).tobytes())
         hit = _MEMO.get(memo_key, factors)
         if hit is not None:
             return hit
@@ -732,6 +772,20 @@ def _memo_cost(key, rows: np.ndarray) -> int:
 _MEMO = _ClosureMemo()
 
 
+def _sorted_distinct(values: np.ndarray, first: bool = False):
+    """The sorted distinct entries of a 1-d array, and with ``first`` the
+    index of each one's first occurrence.  Not np.unique: that imports
+    numpy.ma on its first call, 20 ms of every CLI start."""
+    if first:
+        order = values.argsort(kind="stable")
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    head = np.ones(len(ordered), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    return (ordered[head], order[head]) if first else ordered[head]
+
+
 def _apply(table: np.ndarray, lifted: np.ndarray, rows: np.ndarray, spans,
            places: bool):
     """Values of one operation over the grid of the row spans, in chunks
@@ -773,7 +827,7 @@ def _first_derivations(found, order, rows, when, op, state, how) -> int:
     unseen = state[keys] == 0
     keys, pos = keys[unseen], [p[unseen] for p in pos]
     srt = np.lexsort(pos[::-1] + [keys])
-    first = srt[np.unique(keys[srt], return_index=True)[1]]
+    first = srt[_sorted_distinct(keys[srt], first=True)[1]]
     by_key = rows[order.argsort()]
     for key, *at in zip(keys[first].tolist(),
                         *(p[first].tolist() for p in pos)):

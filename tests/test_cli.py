@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -359,3 +361,21 @@ def test_unknown_subcommand_is_a_parser_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["commutator", "nope"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutator", "ternary", "--algebra", "S3",
+     "--sub", "(12)", "--sub", "(12)", "--sub", "(123)"),
+    ("commutator", "smith", "--algebra", "S3",
+     "--cong", "e~(12)", "--cong", "e~(123)"),
+    ("examples", "run", "hslat-ssh"),
+])
+def test_a_cold_call_does_not_import_numpy_ma(argv):
+    # np.unique imports numpy.ma on its first call, 12-20 ms of a cold call
+    code = ("import sys; from commwb import cli; cli.main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"

@@ -10,9 +10,10 @@ from commwb.commutators import (WEIGHTED_STRATEGIES, CommutatorReport,
                                 WeightedCospan, commute_over, cooperator,
                                 higgins_binary, higgins_ternary, is_w_normal,
                                 normalise, smith, w_normal_closure)
-from commwb.core import (FinAlgebra, Signature, Subuniverse, ValidationError,
-                         check_hom, generate_congruence, generate_subuniverse,
-                         identity_hom, image_sub, power_closure)
+from commwb.core import (Congruence, FinAlgebra, Signature, Subuniverse,
+                         ValidationError, check_hom, generate_congruence,
+                         generate_subuniverse, identity_hom, image_sub,
+                         power_closure)
 from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
 from conftest import brute_binary_commutator, is_diagonal
@@ -101,6 +102,20 @@ def test_joint_generations_from_the_memo_match_cold_ones(lib):
         for (K, L), got in zip(pairs, warm):
             assert answers(D, K, L, True) == got, (D.name, K.members,
                                                    L.members)
+
+
+def test_basepoint_parts_are_checked_when_an_operation_moves_the_basepoint():
+    # mul is constantly 1 and the basepoint is 0: the trace {0} and the
+    # basepoint block of the diagonal are not closed
+    sig = Signature(ops=(("mul", 2), ("e", 0)), basepoint_op="e")
+    A = FinAlgebra(sig, 2, {"mul": np.ones((2, 2), dtype=np.int64),
+                            "e": np.array(0)})
+    K = Subuniverse(A, (0, 1))
+    for call in (higgins_binary, cooperator):
+        with pytest.raises(ValidationError, match="'mul'"):
+            call(A, K, K)
+    with pytest.raises(ValidationError, match="'mul'"):
+        normalise(Congruence.delta(A))
 
 
 # ---------------------------------------------------------------------------

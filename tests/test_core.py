@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import commwb.core as core
-from commwb.core import (Congruence, FinAlgebra, Signature, Subuniverse,
-                         ValidationError, check_hom, generate_congruence,
-                         generate_subuniverse, hom_from_table, identity_hom,
-                         image_sub, kernel_sub, power_closure, product,
-                         pullback)
+from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
+                         Subuniverse, ValidationError, check_hom,
+                         generate_congruence, generate_subuniverse,
+                         hom_from_table, identity_hom, image_sub, kernel_sub,
+                         power_closure, product, pullback)
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
 from conftest import brute_generated_subgroup, brute_congruences
@@ -191,6 +191,16 @@ def test_kernel_and_image_subuniverses():
     f = check_hom(z12, z4, [x % 4 for x in range(12)])
     assert kernel_sub(f).members == (0, 4, 8)
     assert image_sub(f).members == (0, 1, 2, 3)
+    assert image_sub(f) is image_sub(f)      # kept on the hom
+
+
+def test_image_sub_of_a_non_hom_raises_on_every_call():
+    # {0, 1} is not closed in Z4: 1 + 1 = 2
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    for f in (Hom(z2, z4, [0, 1]), hom_from_table(z2, z4, [0, 1])):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not closed under"):
+                image_sub(f)
 
 
 # ---------------------------------------------------------------------------
