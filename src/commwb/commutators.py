@@ -510,7 +510,7 @@ def w_normal_closure(D: FinAlgebra, X: Subuniverse, w: Hom) -> Subuniverse:
     if comm.issubset(X):
         return X
     closed = generate_subuniverse(D, set(comm.members) | set(X.members))
-    if not higgins_binary(D, W, closed).issubset(closed):
+    if not is_w_normal(D, closed, w):
         raise ValidationError(
             "closure is not w-normal — instance outside the supported "
             "class", witness=closed.members)
@@ -558,7 +558,7 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
     if strategy == "proper-commutators":
         W = image_sub(c.w)
         for sub, role in ((X, "x"), (Y, "y")):
-            if not higgins_binary(D, W, sub).issubset(sub):
+            if not is_w_normal(D, sub, c.w):
                 raise ValidationError(
                     f"cospan is not w-proper: the image of {role} is not "
                     "normalised by the weight image",

@@ -171,6 +171,12 @@ def cosmash_kernel_words(factors: Sequence[FinAlgebra],
 
     Sound (every emitted word is in the kernel, re-verified on emission)
     but complete only up to the bound.  Two or three factors.
+
+    The walk keeps every deletion of the prefix as a reduced stack.  One
+    more syllable changes a deletion by at most one syllable, so a prefix
+    with a deletion longer than the syllables still to come cannot reach
+    the kernel, and its extensions are skipped.  Pruning drops only such
+    prefixes, so the words and their order are those of the full walk.
     """
     factors = tuple(factors)
     if len(factors) not in (2, 3):
@@ -194,21 +200,26 @@ def cosmash_kernel_words(factors: Sequence[FinAlgebra],
 
     prefix: list[tuple[int, int]] = []
 
-    def extend(length: int) -> Iterator[Word]:
+    def extend(length: int, deletions: list) -> Iterator[Word]:
+        if any(len(stack) > length for stack in deletions):
+            return
         if length == 0:
-            word = Word(factors, tuple(prefix))
-            if all(delete_factor(word, i).is_identity
-                   for i in range(len(factors))):
-                yield emit_check(word)
+            yield emit_check(Word(factors, tuple(prefix)))
             return
         last = prefix[-1][0] if prefix else -1
         for f in range(len(factors)):
             if f == last:
                 continue
             for x in nonidentity[f]:
+                grown = []
+                for i, stack in enumerate(deletions):
+                    if i != f:
+                        stack = list(stack)
+                        _push(stack, factors, f, x)
+                    grown.append(stack)
                 prefix.append((f, x))
-                yield from extend(length - 1)
+                yield from extend(length - 1, grown)
                 prefix.pop()
 
     for length in range(1, max_len + 1):
-        yield from extend(length)
+        yield from extend(length, [[] for _ in factors])

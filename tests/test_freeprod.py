@@ -19,7 +19,7 @@ from commwb.core import (FinAlgebra, Subuniverse, ValidationError, check_hom,
 from commwb.sweeps import subgroups
 from commwb.varieties import (GROUP_SIGNATURE, cyclic_group, dicyclic_group,
                               dihedral_group, symmetric_group)
-from freeprod import (cosmash_kernel_words, delete_factor, evaluate,
+from freeprod import (Word, cosmash_kernel_words, delete_factor, evaluate,
                       identity_word, make_word, word_inverse, word_multiply)
 
 
@@ -152,6 +152,41 @@ def test_cosmash_kernel_words_die_under_every_deletion():
     for w in cosmash_kernel_words(factors, max_len=6):
         for i in range(3):
             assert delete_factor(w, i).syllables == ()
+
+
+def _unpruned_kernel_words(factors, max_len):
+    """Every syllable sequence up to max_len in the enumerator's order, by
+    length and then lexicographically, kept when it is reduced and every
+    deletion of it is empty: the walk without pruning."""
+    steps = [(f, x) for f, alg in enumerate(factors)
+             for x in range(alg.size) if x != alg.basepoint]
+    for length in range(max_len + 1):
+        for sylls in itertools.product(steps, repeat=length):
+            if any(a[0] == b[0] for a, b in zip(sylls, sylls[1:])):
+                continue
+            w = Word(factors, sylls)
+            if all(delete_factor(w, i).is_identity
+                   for i in range(len(factors))):
+                yield w
+
+
+@pytest.mark.parametrize("orders, bound, count", [
+    ((2, 3), 8, 21), ((4, 2), 8, 61), ((3, 3), 6, 25), ((2, 2, 2), 10, 31),
+    ((2, 2, 3), 8, 1),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_pruned_enumerator_matches_the_unpruned_walk(orders, bound, count):
+    factors = tuple(cyclic_group(n) for n in orders)
+    pruned = [w.syllables for w in cosmash_kernel_words(factors, bound)]
+    assert pruned == [w.syllables
+                      for w in _unpruned_kernel_words(factors, bound)]
+    assert len(pruned) == count
+
+
+def test_pruned_enumerator_matches_the_unpruned_walk_on_s3():
+    _, subs = _c2_c2_s3()
+    factors = tuple(s.as_algebra() for s in subs)
+    assert [w.syllables for w in cosmash_kernel_words(factors, 6)] == \
+        [w.syllables for w in _unpruned_kernel_words(factors, 6)]
 
 
 def test_engine_agrees_with_definitional_enumerator(c2_c2_s3_words):
