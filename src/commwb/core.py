@@ -4,12 +4,18 @@ Everything downstream (commutators, condition checkers) reduces to the
 machinery here: subuniverse and congruence generation, products, pullbacks,
 kernels.  One closure engine, ``_closure``, computes every generated
 subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
-search, relations in a product of two algebras.  A bounded memo sits in
-front of it: a closure asked again with the same factor algebras (the same
-objects) and the same set of seed rows returns the rows of the first call,
-read-only.  The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and
-a fixed charge per entry), dropping its oldest entry first; the fill-in
-search's derivations are never memoized.  Each ``Hom`` remembers its
+search, relations in a product of two algebras.  It has two routes with
+the same rows.  When every factor is a group (one binary, one unary and
+the basepoint operation, with a group's tables: checked once per algebra
+and kept on it), the group route closes the identity under right
+multiplication by the seeds, adding one generator at a time as Dimino's
+algorithm does; otherwise, and for the fill-in search, the semi-naive
+route applies every operation.  A bounded memo sits in front of it: a
+closure asked again with the same factor algebras (the same objects) and
+the same set of seed rows returns the rows of the first call, read-only.
+The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and a fixed
+charge per entry), dropping its oldest entry first; the fill-in search's
+derivations are never memoized.  Each ``Hom`` remembers its
 image: ``image_sub`` checks it as a subuniverse on the first call and
 returns the same object after, and a failed check is not remembered.
 
@@ -632,19 +638,9 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     order; a row's key is its mixed-radix index, first coordinate first.
     Without derivations the array is read-only and may be the memo's,
     from an earlier call with the same factors and the same seed set.
-
-    Semi-naive: round r applies each k-ary operation only to argument
-    tuples holding a row found in round r-1.  For argument position i,
-    positions before i take older rows, position i a new row and positions
-    after i any row, so every such tuple is evaluated once.  Membership is
-    one byte per key, and candidates are marked about ``_CHUNK`` at a time
-    (with derivations, all of one operation's in a round at once).
-
-    With ``derivations`` it also returns each row's first derivation in
-    the order (round, operation in signature order, argument positions in
-    the sorted rows at the round's start), as ``(when, op, args)``: op
-    None and the index of a seed row (round 0 holds the seeds, then the
-    constants), or an operation name and its argument rows.
+    ``_right_closure`` makes it when every factor passes ``_is_group`` and
+    no derivations are asked for, and ``_semi_naive`` otherwise, with each
+    row's first derivation if asked.
     """
     for other in factors[1:]:
         _check_same_signature(factors[0], other)
@@ -657,41 +653,139 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
     digits = np.asarray([strides, sizes])
     seed_keys = seeds @ digits[0]
-    if not derivations:
-        # formed only now: out-of-range rows could alias in-range keys
-        memo_key = (tuple(map(id, factors)),
-                    _sorted_distinct(seed_keys).tobytes())
-        hit = _MEMO.get(memo_key, factors)
-        if hit is not None:
-            return hit
+    if derivations:
+        return _semi_naive(factors, digits, seed_keys, derivations=True)
+    # formed only now: out-of-range rows could alias in-range keys
+    memo_key = (tuple(map(id, factors)), _sorted_distinct(seed_keys).tobytes())
+    hit = _MEMO.get(memo_key, factors)
+    if hit is not None:
+        return hit
+    route = _right_closure if all(map(_is_group, factors)) else _semi_naive
+    return _MEMO.put(memo_key, factors, route(factors, digits, seed_keys))
+
+
+def _operation_tables(factors: Sequence[FinAlgebra]):
+    """One table per operation for all the factors, and ``lift``: when the
+    factors differ, the tables of an operation of positive arity are
+    stacked along the first argument, which factor j reads at offset
+    lift[j]; otherwise ``lift`` is None."""
+    distinct = list({id(a): a for a in factors}.values())
+    if len(distinct) == 1:
+        return distinct[0].tables, None
+    nmax = max(a.size for a in factors)
+    tables = {}
+    for op, k in factors[0].signature.ops:
+        if k:
+            tables[op] = np.zeros((len(distinct) * nmax,) + (nmax,) * (k - 1),
+                                  dtype=np.int64)
+            for d, a in enumerate(distinct):
+                tables[op][(slice(d * nmax, d * nmax + a.size),)
+                           + (slice(a.size),) * (k - 1)] = a.tables[op]
+    return tables, np.asarray([nmax * distinct.index(a) for a in factors])
+
+
+def _is_group(algebra: FinAlgebra) -> bool:
+    """Whether the signature is one binary, one unary and the basepoint
+    operation, and they make a group: associative, with a two-sided
+    identity and two-sided inverses.  Checked on the first closure over
+    the algebra and kept on it; with n^3 above ``MAX_CLOSURE_KEYS``, not
+    checked and no group."""
+    if "_group" not in algebra.__dict__:
+        object.__setattr__(algebra, "_group", _group_check(algebra))
+    return algebra._group
+
+
+def _group_check(algebra: FinAlgebra) -> bool:
+    n, by_arity = algebra.size, {k: op for op, k in algebra.signature.ops}
+    if sorted(k for _, k in algebra.signature.ops) != [0, 1, 2] \
+            or n ** 3 > MAX_CLOSURE_KEYS:
+        return False
+    mul, inv = algebra.tables[by_arity[2]], algebra.tables[by_arity[1]]
+    e, x = algebra.basepoint, np.arange(n)
+    if not (np.array_equal(mul[e], x) and np.array_equal(mul[:, e], x)
+            and (mul[x, inv] == e).all() and (mul[inv, x] == e).all()):
+        return False
+    step = max(1, _CHUNK // (n * n))  # (xy)z = x(yz), in slices over x
+    return all(np.array_equal(mul[mul[i:i + step]], mul[i:i + step][:, mul])
+               for i in range(0, n, step))
+
+
+def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
+                   seed_keys: np.ndarray) -> np.ndarray:
+    """Subgroup of a product of groups generated by the rows of
+    ``seed_keys``: the identity closed under right multiplication by the
+    seeds alone (a generator's inverse is one of its powers).  As in
+    Dimino's algorithm, the next seed not yet found joins the generators
+    and is multiplied onto every row so far, the new rows by every
+    generator until none is new; each generator at least doubles them."""
+    tables, lift = _operation_tables(factors)
+    mul = tables[next(op for op, k in factors[0].signature.ops if k == 2)]
+    state = np.zeros(np.prod(digits[1]), np.uint8)
+
+    def times(keys, gens):
+        """Mark the products of the rows of ``keys`` and each of ``gens``
+        not yet seen, about ``_CHUNK`` at a time; return them, distinct."""
+        step = max(1, _CHUNK // gens.size)
+        if len(keys) > step:
+            return np.concatenate([times(keys[i:i + step], gens)
+                                   for i in range(0, len(keys), step)])
+        rows = keys[:, None] // digits[0] % digits[1]
+        prods = mul[(rows if lift is None else rows + lift)[:, None],
+                    gens] @ digits[0]
+        prods = prods[state[prods] == 0]
+        if len(gens) > 1 and len(prods) > 1:  # one right factor is injective
+            prods = _sorted_distinct(prods)
+        state[prods] = 1
+        return prods
+
+    found = [digits[:1] @ [a.basepoint for a in factors]]
+    state[found[0]] = 1
+    gens = np.empty((0, len(factors)), dtype=np.int64)
+    todo = seed_keys[state[seed_keys] == 0]
+    while todo.size:
+        gens = np.concatenate([gens, todo[:1, None] // digits[0] % digits[1]])
+        new = times(np.concatenate(found), gens[-1:])
+        while new.size:
+            found.append(new)
+            new = times(new, gens)
+        todo = todo[1:]  # a group's rows hold it; a bad table cannot loop
+        todo = todo[state[todo] == 0]
+    keys = np.sort(np.concatenate(found))
+    return keys[:, None] // digits[0] % digits[1]
+
+
+def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
+                seed_keys: np.ndarray, derivations: bool = False):
+    """The closure for any signature, and the tests' reference for
+    ``_right_closure``.  Semi-naive: round r applies each k-ary operation
+    only to argument tuples holding a row found in round r-1.  For
+    argument position i, positions before i take older rows, position i a
+    new row and positions after i any row, so every such tuple is
+    evaluated once.  Membership is one byte per key, and candidates are
+    marked about ``_CHUNK`` at a time (with derivations, all of one
+    operation's in a round at once).
+
+    With ``derivations`` it also returns each row's first derivation in
+    the order (round, operation in signature order, argument positions in
+    the sorted rows at the round's start), as ``(when, op, args)``: op
+    None and the index of a seed row (round 0 holds the seeds, then the
+    constants), or an operation name and its argument rows.
+    """
+    strides = digits[0].tolist()
     sig = factors[0].signature.ops
     consts = [(op, sum(st * int(a.tables[op][()])
                        for st, a in zip(strides, factors)))
               for op, k in sig if k == 0]
     start = seed_keys.tolist() + [key for _, key in consts]
-    state = np.zeros(total, dtype=np.uint8)   # 0 unseen, 1 new, 2 older
+    state = np.zeros(np.prod(digits[1]), np.uint8)  # 0 unseen, 1 new, 2 older
     state[start] = 1
     how: dict = {}
     for j, key in enumerate(start if derivations else ()):
-        c = j - len(seeds)
+        c = j - len(seed_keys)
         how.setdefault(key, ((0, j), None, j) if c < 0
                        else ((0, j), consts[c][0], ()))
-    # When the factors differ, an operation's tables are stacked along the
-    # first argument, which factor j reads at offset lift[j].
-    distinct = list({id(a): a for a in factors}.values())
-    nmax = max(sizes)
-    lift = [nmax * distinct.index(a) for a in factors]
-    ops = []
-    for oi, (op, k) in enumerate(sig):
-        table = distinct[0].tables[op]
-        if len(distinct) > 1 and k:
-            table = np.zeros((len(distinct) * nmax,) + (nmax,) * (k - 1),
-                             dtype=np.int64)
-            for d, a in enumerate(distinct):
-                table[(slice(d * nmax, d * nmax + a.size),)
-                      + (slice(a.size),) * (k - 1)] = a.tables[op]
-        if k:
-            ops.append((oi, op, k, table))
+    tables, lift = _operation_tables(factors)
+    ops = [(oi, op, k, tables[op]) for oi, (op, k) in enumerate(sig) if k]
     rnd, grew = 0, True
     while grew:
         known = state.nonzero()[0]
@@ -703,7 +797,7 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
         # over a span of them; ``order`` maps them back to key order
         order = older.argsort(kind="stable")
         rows = known[order, None] // digits[0] % digits[1]
-        lifted = rows + lift if len(distinct) > 1 else rows
+        lifted = rows if lift is None else rows + lift
         found, count, grew = [], 0, 0
         for oi, op, k, table in ops:
             for i in range(k):
@@ -726,7 +820,7 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     rows = keys[:, None] // digits[0] % digits[1]
     if derivations:
         return rows, [how[key] for key in keys.tolist()]
-    return _MEMO.put(memo_key, factors, rows)
+    return rows
 
 
 class _ClosureMemo:

@@ -12,6 +12,7 @@ from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
                          generate_congruence, generate_subuniverse,
                          hom_from_table, identity_hom, image_sub, kernel_sub,
                          power_closure, product, pullback)
+from commwb.sweeps import congruences, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
 from conftest import brute_generated_subgroup, brute_congruences
@@ -259,6 +260,17 @@ def test_power_closure_is_the_same_in_small_chunks(monkeypatch):
     assert np.array_equal(power_closure(d4, seeds), whole)
 
 
+def test_semi_naive_closure_is_the_same_in_small_chunks(monkeypatch, lib):
+    # the same check on a carrier that is no group, so on the other route
+    alg = lib.algebra("chain2xchain3")
+    seeds = [(1, 0, 4, 5), (2, 3, 3, 0), (5, 5, 1, 2)]
+    whole = power_closure(alg, seeds)
+    assert len(whole) > 7
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    core._MEMO.clear()
+    assert np.array_equal(power_closure(alg, seeds), whole)
+
+
 def test_closure_under_a_ternary_operation_matches_brute_closure():
     # p(x, y, z) = x - y + z on Z6 (with 0 as the only constant): no
     # catalogue signature has an operation of arity 3
@@ -369,3 +381,156 @@ def test_closure_memo_never_serves_derivations():
     core._MEMO.clear()
     core._closure((d4, d4), seeds, derivations=True)
     assert not core._MEMO.entries
+
+
+# ---------------------------------------------------------------------------
+# the group route against the semi-naive engine
+
+
+GROUPS_TO_12 = tuple(f"Z{n}" for n in range(1, 13)) + (
+    "V4", "S3", "A3", "A4", "D4", "D5", "D6", "Q8", "Dic3")
+
+
+def _digits(factors):
+    """The strides and sizes of the factors, as ``core._closure`` keys rows."""
+    sizes = [a.size for a in factors]
+    strides = [int(np.prod(sizes[j + 1:])) for j in range(len(sizes))]
+    return np.asarray([strides, sizes])
+
+
+def _both_routes(factors, seeds):
+    """The rows of the group route and of the semi-naive engine, each
+    called directly on the same seed rows."""
+    digits = _digits(factors)
+    keys = np.asarray(seeds, dtype=np.int64).reshape(-1, len(factors)) \
+        @ digits[0]
+    return (core._right_closure(factors, digits, keys),
+            core._semi_naive(factors, digits, keys))
+
+
+def _basepoint_fixing_relabel(alg, seed):
+    """An isomorphic copy under a seeded permutation that fixes the
+    basepoint, as the benchmark makes its carriers, and the permutation."""
+    rest = [i for i in range(alg.size) if i != alg.basepoint]
+    perm = np.arange(alg.size)
+    perm[rest] = np.random.default_rng(seed).permutation(rest)
+    return _relabel(alg, perm), perm
+
+
+def test_the_differential_test_covers_every_group_to_order_12(lib):
+    assert set(GROUPS_TO_12) == {
+        key for key, profile in lib.algebra_profile.items()
+        if profile == "groups" and lib.algebras[key].size <= 12}
+
+
+@pytest.mark.parametrize("key", GROUPS_TO_12)
+def test_group_route_matches_the_semi_naive_engine(lib, key):
+    alg = lib.algebra(key)
+    copy, perm = _basepoint_fixing_relabel(alg, len(key) + alg.size)
+    assert core._is_group(alg) and core._is_group(copy)
+    e = alg.basepoint
+    seed_sets = [[(g,)] for g in range(alg.size)]
+    subs = subgroups(alg)
+    seed_sets += [[(k, e, k) for k in K.members]
+                  + [(e, l, l) for l in L.members]
+                  for K, L in itertools.product(subs, repeat=2)]
+    congs = congruences(alg)
+    seed_sets += [[(a, a, b, b) for a, b in R.all_pairs()]
+                  + [(u, v, u, v) for u, v in S.all_pairs()]
+                  for R, S in itertools.product(congs, repeat=2)]
+    last = alg.size - 1
+    seed_sets += [np.empty((0, 2), dtype=np.int64), [(e, e, e)],
+                  [(last, 1 % alg.size)] * 3 + [(e, e), (last, 0)]]
+    for seeds in seed_sets:
+        seeds = np.asarray(seeds, dtype=np.int64)
+        width = seeds.shape[1]
+        fast, slow = _both_routes((alg,) * width, seeds)
+        assert np.array_equal(fast, slow), (key, seeds)
+        # on the copy, against the reference rows carried over and sorted
+        fast, _ = _both_routes((copy,) * width, perm[seeds])
+        moved = perm[slow]
+        moved = moved[np.lexsort(moved.T[::-1])]
+        assert np.array_equal(fast, moved), (key, seeds)
+
+
+def test_group_route_over_different_groups_matches_the_semi_naive_engine():
+    d4, z3, s3 = dihedral_group(4), cyclic_group(3), symmetric_group(3)
+    for seeds in ([(1, 1, 2)], [(4, 0, 3), (0, 2, 0)], [(5, 1, 1), (4, 2, 5)],
+                  [], [(0, 0, 0)] * 2):
+        fast, slow = _both_routes((d4, z3, s3), seeds)
+        assert np.array_equal(fast, slow), seeds
+
+
+def _not_quite_groups():
+    """Tables that each break one rule of the group check and pass the
+    others."""
+    sig = cyclic_group(1).signature
+    x = np.arange(5)
+    # the smallest loop that is not a group: identity 0 and x x = 0, so
+    # inv(x) = x; it is not associative
+    loop = FinAlgebra(sig, 5, {"mul": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                       [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                       [4, 3, 1, 2, 0]],
+                               "inv": x, "e": 0})
+    # Z4 with basepoint 2 and inv(x) = 2 - x, so that x inv(x) is the
+    # basepoint, which is not the identity
+    z4 = (x[:4, None] + x[:4]) % 4
+    moved = FinAlgebra(sig, 4, {"mul": z4, "inv": (2 - x[:4]) % 4, "e": 2})
+    # V4 whose inv swaps two elements of order 2
+    v4 = x[:4, None] ^ x[:4]
+    swapped = FinAlgebra(sig, 4, {"mul": v4, "inv": [0, 2, 1, 3], "e": 0})
+    # D4 with conjugation by the rotation r as a fourth operation; it is
+    # listed before inv, so only the signature rule keeps D4 off the route
+    d4 = dihedral_group(4)
+    mul, inv = d4.tables["mul"], d4.tables["inv"]
+    conj_sig = Signature((("mul", 2), ("conj", 1), ("inv", 1), ("e", 0)), "e")
+    conj = FinAlgebra(conj_sig, 8, {"mul": mul, "conj": mul[mul[1], inv[1]],
+                                    "inv": inv, "e": d4.basepoint})
+    return {"not associative": (loop, [(1, 2), (3, 0)]),
+            "basepoint not the identity": (moved, [(1, 2)]),
+            "inv not inverse": (swapped, [(1, 0)]),
+            "an extra operation": (conj, [(4, 1)])}
+
+
+@pytest.mark.parametrize("case", sorted(_not_quite_groups()))
+def test_a_table_that_is_not_a_group_takes_the_semi_naive_engine(
+        monkeypatch, case):
+    alg, seeds = _not_quite_groups()[case]
+
+    def refuse(*args):
+        raise AssertionError("took the group route")
+
+    monkeypatch.setattr(core, "_right_closure", refuse)
+    got = power_closure(alg, seeds)
+    digits = _digits((alg, alg))
+    keys = np.asarray(seeds) @ digits[0]
+    assert np.array_equal(got, core._semi_naive((alg, alg), digits, keys))
+    assert not core._is_group(alg)
+
+
+def test_the_group_check_runs_once_per_algebra(monkeypatch):
+    calls = []
+    check = core._group_check
+    monkeypatch.setattr(core, "_group_check",
+                        lambda alg: calls.append(alg) or check(alg))
+    d4 = dihedral_group(4)
+    power_closure(d4, [(1, 2)])
+    power_closure(d4, [(3, 0), (5, 5)])
+    generate_subuniverse(d4, [6])
+    assert calls == [d4]
+
+
+def test_the_group_check_is_sliced_and_bounded(monkeypatch):
+    z60 = cyclic_group(60)   # 216,000 triples of 8 bytes for associativity
+    monkeypatch.setattr(core, "_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        assert core._group_check(z60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 17
+    # n^3 above the closure limit: no group, and no table is read
+    monkeypatch.setattr(core, "MAX_CLOSURE_KEYS", 60 ** 3 - 1)
+    object.__setattr__(z60, "tables", {})
+    assert not core._group_check(z60)
