@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Subuniverse, ValidationError
+from .core import Subuniverse, ValidationError, _require_group
 
 __all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words"]
 
@@ -241,20 +241,27 @@ MAX_CACHE_BYTES = 1 << 26
 _WORD_CACHE: dict = {}
 
 
+def _local_order(sub: Subuniverse) -> np.ndarray:
+    """A subgroup's members, the identity first and then the rest in order."""
+    m, e = sub.members, sub.parent.basepoint
+    return np.asarray(m if m[0] == e else (e,) + tuple(x for x in m if x != e),
+                      dtype=np.int64)
+
+
 def _local_group_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
     """The multiplication table of ``sub`` on local indices 0..k-1, where
-    local index i is ``members[i]``."""
-    if sub.members[0] != sub.parent.basepoint:
-        raise ValidationError("word oracle needs the identity at local index 0")
-    m = np.asarray(sub.members, dtype=np.int64)
-    mul = sub.parent.tables["mul"][m[:, None], m]
-    return np.searchsorted(m, mul).astype(np.int64, copy=False), len(m)
+    local index i is ``_local_order(sub)[i]``."""
+    mul, _ = _require_group(sub.parent, "the word oracle")
+    m = _local_order(sub)
+    back = np.zeros(sub.parent.size, dtype=np.int64)
+    back[m] = np.arange(len(m))
+    return back[mul[m[:, None], m]], len(m)
 
 
 def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
                          max_len: int) -> np.ndarray:
     """Flat record buffer of all kernel words up to ``max_len`` over the
-    local multiplication tables of three subgroups (identity at index 0).
+    local multiplication tables of three subgroups (``_local_order``).
 
     Record format: length L followed by L (factor, local element) pairs.
     The buffer's ``starts`` holds the offset of each record.

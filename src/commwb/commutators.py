@@ -40,10 +40,13 @@ from .core import (
     generate_subuniverse,
     image_sub,
     power_closure,
+    _group_tables,
+    _require_group,
     _sorted_distinct,
 )
 from . import terms
-from ._kernel_search import DEFAULT_WORD_BOUND, ternary_kernel_words
+from ._kernel_search import (DEFAULT_WORD_BOUND, _local_order,
+                             ternary_kernel_words)
 
 __all__ = [
     "WeightedCospan",
@@ -234,29 +237,17 @@ def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
 # group helpers for the fast ternary path
 
 
-def _is_group_signature(D: FinAlgebra) -> bool:
-    ops = dict(D.signature.ops)
-    return ops.get("mul") == 2 and ops.get("inv") == 1
-
-
 def _resolve_ternary_strategy(D: FinAlgebra, strategy: str | None) -> str:
-    """``strategy`` if given, else group-fast on group signatures and
-    term-depth elsewhere."""
+    """``strategy`` if given, else group-fast on groups (``_group_tables``)
+    and term-depth elsewhere."""
     if strategy is not None:
         return strategy
-    return "group-fast" if _is_group_signature(D) else "term-depth"
+    return "group-fast" if _group_tables(D) is not None else "term-depth"
 
 
-def _require_group_signature(D: FinAlgebra, what: str) -> None:
-    if not _is_group_signature(D):
-        raise ValidationError(
-            f"{what} needs a group-shaped signature (mul/2, inv/1)")
-
-
-def _double_bracket_grid(D: FinAlgebra, A: np.ndarray, B: np.ndarray,
-                         C: np.ndarray) -> np.ndarray:
+def _double_bracket_grid(mul: np.ndarray, inv: np.ndarray, A: np.ndarray,
+                         B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Grid of [[a, b], c] over A x B x C (group commutator twice)."""
-    mul, inv = D.tables["mul"], D.tables["inv"]
     ab = mul[mul[mul[A[:, None], B[None, :]], inv[A][:, None]],
              inv[B][None, :]]
     return mul[mul[mul[ab[:, :, None], C[None, None, :]],
@@ -267,7 +258,7 @@ def _double_bracket_grid(D: FinAlgebra, A: np.ndarray, B: np.ndarray,
 # ternary commutator
 
 
-def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
+def _ternary_group_fast(D, mul, inv, K, L, M) -> CommutatorReport:
     Km = np.asarray(K.members, dtype=np.int64)
     Lm = np.asarray(L.members, dtype=np.int64)
     Mm = np.asarray(M.members, dtype=np.int64)
@@ -279,7 +270,7 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
     shapes = ((Km, Lm, Mm, "[[K,L],M]"), (Lm, Mm, Km, "[[L,M],K]"),
               (Mm, Km, Lm, "[[M,K],L]"))
     for A, B, C, shape in shapes:
-        grid = _double_bracket_grid(D, A, B, C)
+        grid = _double_bracket_grid(mul, inv, A, B, C)
         seeds.update(_sorted_distinct(grid.ravel()).tolist())
         if len(witnesses) < _WITNESS_CAP:
             for ia, ib, ic in np.argwhere(grid != bp)[:_WITNESS_CAP]:
@@ -291,7 +282,6 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
                      int(grid[ia, ib, ic])))
     # the normal closure of the seeds in the join: the subgroup generated
     # by their conjugates j·s·j⁻¹ over every j in the join
-    mul, inv = D.tables["mul"], D.tables["inv"]
     j, s = np.asarray(join.members), np.asarray(sorted(seeds))
     result = generate_subuniverse(D, _sorted_distinct(
         mul[mul[j[:, None], s[None, :]], inv[j][:, None]].ravel()))
@@ -299,15 +289,14 @@ def _ternary_group_fast(D, K, L, M) -> CommutatorReport:
                             witnesses=tuple(witnesses))
 
 
-def _ternary_word_oracle(D, K, L, M, bound: int) -> CommutatorReport:
+def _ternary_word_oracle(D, mul, K, L, M, bound: int) -> CommutatorReport:
     words = ternary_kernel_words((K, L, M), bound)
     # a plain ndarray view, so the fold's results are plain arrays too
     buf, starts = np.asarray(words), words.starts
     lengths = buf[starts]
     to_parent = np.zeros((3, max(len(K), len(L), len(M))), dtype=np.int64)
     for f, sub in enumerate((K, L, M)):
-        to_parent[f, :len(sub)] = sub.members
-    mul = D.tables["mul"]
+        to_parent[f, :len(sub)] = _local_order(sub)
     bp = D.basepoint
     # fold every record at once, one syllable position at a time, over the
     # records that still have a syllable there
@@ -406,14 +395,15 @@ def higgins_ternary(D: FinAlgebra, K: Subuniverse, L: Subuniverse,
                     term_depth: int | None = None) -> CommutatorReport:
     """Ternary commutator [K, L, M] under one of three strategies.
 
-    * ``group-fast`` (groups only): normal closure, inside the join
-      subgroup of K, L, M, of all iterated commutators [[k,l],m],
-      [[l,m],k], [[m,k],l].  Exact on every instance cross-checked so far
-      and reported as complete; the word oracle re-validates it in the
-      test suites.
-    * ``word-oracle`` (groups only): evaluates every co-smash kernel word
-      up to ``word_bound`` syllables and generates a subuniverse from the
-      values.  A sound lower bound; ``complete`` is False.
+    * ``group-fast`` (groups only, by ``core._group_tables``): normal
+      closure, inside the join subgroup of K, L, M, of all iterated
+      commutators [[k,l],m], [[l,m],k], [[m,k],l].  Exact on every
+      instance cross-checked so far and reported as complete; the word
+      oracle re-validates it in the test suites.
+    * ``word-oracle`` (groups only, as above): evaluates every co-smash
+      kernel word up to ``word_bound`` syllables and generates a
+      subuniverse from the values.  A sound lower bound; ``complete`` is
+      False.
     * ``term-depth`` (any signature): evaluates all 3-variable terms to
       nesting depth ``term_depth`` whose three one-sided basepoint
       substitutions vanish on the instance, then generates a subuniverse
@@ -426,14 +416,14 @@ def higgins_ternary(D: FinAlgebra, K: Subuniverse, L: Subuniverse,
             f"unknown ternary strategy {strategy!r}; "
             f"expected one of {TERNARY_STRATEGIES}")
     if strategy == "group-fast":
-        _require_group_signature(D, "strategy 'group-fast'")
-        return _ternary_group_fast(D, K, L, M)
+        mul, inv = _require_group(D, "strategy 'group-fast'")
+        return _ternary_group_fast(D, mul, inv, K, L, M)
     if strategy == "word-oracle":
-        _require_group_signature(D, "strategy 'word-oracle'")
+        mul, _ = _require_group(D, "strategy 'word-oracle'")
         bound = DEFAULT_WORD_BOUND if word_bound is None else int(word_bound)
         if bound < 0:
             raise ValidationError("word bound must be non-negative")
-        return _ternary_word_oracle(D, K, L, M, bound)
+        return _ternary_word_oracle(D, mul, K, L, M, bound)
     depth = DEFAULT_TERM_DEPTH if term_depth is None else int(term_depth)
     if depth < 0:
         raise ValidationError("term depth must be non-negative")
@@ -536,7 +526,7 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
     * ``proper-commutators``: requires the cospan to be w-proper (each
       leg's image normalised by the weight's image); verdict is the
       simultaneous vanishing of [Im x, Im y] and [Im x, Im y, Im w].  The
-      ternary strategy is group-fast on group signatures and term-depth
+      ternary strategy is group-fast on groups and term-depth
       (to ``term_depth``) elsewhere; completeness is inherited from it.
     * ``ssh-kernel``: requires a variety profile whose kernel functor is
       certified to reflect commutation (``profile.ssh_certified``);

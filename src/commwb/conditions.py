@@ -35,6 +35,7 @@ from .core import (
     Subuniverse,
     ValidationError,
     _closure,
+    _require_group,
     check_hom,
     image_sub,
     kernel_sub,
@@ -44,7 +45,6 @@ from .core import (
 from .commutators import (
     _WITNESS_CAP,
     WeightedCospan,
-    _is_group_signature,
     _resolve_ternary_strategy,
     cooperator,
     higgins_binary,
@@ -257,16 +257,16 @@ def admissible(d: AdmissibleDiagram) -> AdmissibleOutcome:
 def groups_phi(d: AdmissibleDiagram) -> Hom:
     """The explicit group-theoretic fill-in phi(a, c) = alpha(a·(rf a)⁻¹)·gamma(c).
 
-    Requires a group-shaped signature and the hypothesis that the images
-    of alpha∘ker(f) and gamma∘ker(g) commute.  The formula is validated
-    as a hom restricting to alpha and gamma; a validation failure is a
-    fatal error, never a silent fallback.
+    Requires A and the target to be groups by ``core._group_tables``
+    (whatever their operations are named) and the images of alpha∘ker(f)
+    and gamma∘ker(g) to commute.  The formula is validated as a hom
+    restricting to alpha and gamma; a validation failure is a fatal
+    error, never a silent fallback.
     """
     A = d.f.dom
     D = d.target
-    if not _is_group_signature(D):
-        raise ValidationError(
-            "the explicit fill-in formula needs a group-shaped signature")
+    mulD, _ = _require_group(D, "the explicit fill-in formula")
+    mulA, invA = _require_group(A, "the explicit fill-in formula")
     X, Y = kernel_images(d)
     obstruction = higgins_binary(D, X, Y)
     if not obstruction.is_zero():
@@ -277,10 +277,9 @@ def groups_phi(d: AdmissibleDiagram) -> Hom:
     P = square.carrier
     aleg = square.legs[0].map
     cleg = square.legs[1].map
-    mulA, invA = A.tables["mul"], A.tables["inv"]
     rf = d.r.map[d.f.map]
     adj = mulA[np.arange(A.size), invA[rf]]
-    mapping = D.tables["mul"][d.alpha.map[adj[aleg]], d.gamma.map[cleg]]
+    mapping = mulD[d.alpha.map[adj[aleg]], d.gamma.map[cleg]]
     try:
         phi = check_hom(P, D, mapping)
     except ValidationError as err:

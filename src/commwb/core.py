@@ -6,8 +6,8 @@ kernels.  One closure engine, ``_closure``, computes every generated
 subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
 search, relations in a product of two algebras.  It has two routes with
 the same rows.  When every factor is a group (one binary, one unary and
-the basepoint operation, with a group's tables: checked once per algebra
-and kept on it), the group route closes the identity under right
+the basepoint operation, with a group's tables: ``_group_tables``, once
+per algebra), the group route closes the identity under right
 multiplication by the seeds, adding one generator at a time as Dimino's
 algorithm does; otherwise, and for the fill-in search, the semi-naive
 route applies every operation.  A bounded memo sits in front of it: a
@@ -638,7 +638,7 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     order; a row's key is its mixed-radix index, first coordinate first.
     Without derivations the array is read-only and may be the memo's,
     from an earlier call with the same factors and the same seed set.
-    ``_right_closure`` makes it when every factor passes ``_is_group`` and
+    ``_right_closure`` makes it when every factor has ``_group_tables`` and
     no derivations are asked for, and ``_semi_naive`` otherwise, with each
     row's first derivation if asked.
     """
@@ -660,7 +660,7 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     hit = _MEMO.get(memo_key, factors)
     if hit is not None:
         return hit
-    route = _right_closure if all(map(_is_group, factors)) else _semi_naive
+    route = _right_closure if all(map(_group_tables, factors)) else _semi_naive
     return _MEMO.put(memo_key, factors, route(factors, digits, seed_keys))
 
 
@@ -684,30 +684,40 @@ def _operation_tables(factors: Sequence[FinAlgebra]):
     return tables, np.asarray([nmax * distinct.index(a) for a in factors])
 
 
-def _is_group(algebra: FinAlgebra) -> bool:
-    """Whether the signature is one binary, one unary and the basepoint
-    operation, and they make a group: associative, with a two-sided
-    identity and two-sided inverses.  Checked on the first closure over
-    the algebra and kept on it; with n^3 above ``MAX_CLOSURE_KEYS``, not
-    checked and no group."""
+def _group_tables(algebra: FinAlgebra):
+    """``(mul, inv)`` of a group, else None: the signature is one binary,
+    one unary and the basepoint operation, whatever their names, and mul
+    is associative with the basepoint as two-sided identity and inv as
+    two-sided inverse.  Checked once and kept on the algebra; with n^3
+    above ``MAX_CLOSURE_KEYS``, not checked and None."""
     if "_group" not in algebra.__dict__:
         object.__setattr__(algebra, "_group", _group_check(algebra))
     return algebra._group
 
 
-def _group_check(algebra: FinAlgebra) -> bool:
+def _require_group(algebra: FinAlgebra, what: str):
+    """``_group_tables`` of a group, else a ValidationError naming ``what``."""
+    tables = _group_tables(algebra)
+    if tables is None:
+        raise ValidationError(f"{what} needs a group, checked on its tables"
+                              f" when n^3 <= {MAX_CLOSURE_KEYS:,}")
+    return tables
+
+
+def _group_check(algebra: FinAlgebra):
     n, by_arity = algebra.size, {k: op for op, k in algebra.signature.ops}
     if sorted(k for _, k in algebra.signature.ops) != [0, 1, 2] \
             or n ** 3 > MAX_CLOSURE_KEYS:
-        return False
+        return None
     mul, inv = algebra.tables[by_arity[2]], algebra.tables[by_arity[1]]
     e, x = algebra.basepoint, np.arange(n)
-    if not (np.array_equal(mul[e], x) and np.array_equal(mul[:, e], x)
-            and (mul[x, inv] == e).all() and (mul[inv, x] == e).all()):
-        return False
     step = max(1, _CHUNK // (n * n))  # (xy)z = x(yz), in slices over x
-    return all(np.array_equal(mul[mul[i:i + step]], mul[i:i + step][:, mul])
-               for i in range(0, n, step))
+    group = (np.array_equal(mul[e], x) and np.array_equal(mul[:, e], x)
+             and (mul[x, inv] == e).all() and (mul[inv, x] == e).all()
+             and all(np.array_equal(mul[mul[i:i + step]],
+                                    mul[i:i + step][:, mul])
+                     for i in range(0, n, step)))
+    return (mul, inv) if group else None
 
 
 def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .commutators import _require_group_signature
 from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
-                   generate_congruence, generate_subuniverse)
+                   _require_group, generate_congruence, generate_subuniverse)
 
 __all__ = [
     "subgroups",
@@ -47,8 +46,9 @@ def join_subs(algebra: FinAlgebra, *subs: Subuniverse) -> Subuniverse:
 
 
 def subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
-    """Every subgroup of a finite group, sorted by size then members."""
-    _require_group_signature(algebra, "subgroup enumeration")
+    """Every subgroup of a finite group, sorted by size then members; an
+    algebra that fails the check of ``core._group_tables`` is refused."""
+    _require_group(algebra, "subgroup enumeration")
     trivial = generate_subuniverse(algebra, [])
     found: dict[tuple[int, ...], Subuniverse] = {trivial.members: trivial}
     frontier = [trivial]
@@ -67,8 +67,8 @@ def subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
 
 
 def cyclic_subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
-    """Subgroups generated by a single element, trivial one included."""
-    _require_group_signature(algebra, "cyclic subgroup enumeration")
+    """Groups only: the subgroups generated by one element, and {e}."""
+    _require_group(algebra, "cyclic subgroup enumeration")
     found: dict[tuple[int, ...], Subuniverse] = {}
     for g in range(algebra.size):
         sub = generate_subuniverse(algebra, [g])

@@ -111,13 +111,6 @@ class IdentityReport:
     ok: bool
     failures: tuple = ()
 
-    def summary(self) -> str:
-        if self.ok:
-            return f"{self.algebra}: all {self.profile} identities hold"
-        text, env = self.failures[0]
-        binding = ", ".join(f"{v}={i}" for v, i in env.items())
-        return f"{self.algebra}: '{text}' fails at {binding}"
-
 
 def _identity_mismatch(algebra: FinAlgebra, text: str) -> Optional[dict]:
     """First assignment violating ``text`` on ``algebra``, or None."""

@@ -11,6 +11,7 @@ import pytest
 from commwb import cli
 from commwb.fileio import algebra_to_json, canonical_dumps
 from commwb.varieties import cyclic_group, symmetric_group
+from test_core import _not_quite_groups
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "commwb", "fixtures")
@@ -323,6 +324,51 @@ def test_ternary_default_needs_group_arities_not_just_names(capsys,
     assert code == 0
     assert report["result"]["strategy"] == "term-depth(2)"
     assert report["result"]["commutator"] == ["0"]
+
+
+def _write_algebra(tmp_path, name, alg):
+    path = tmp_path / name
+    path.write_text(canonical_dumps(alg))
+    return str(path)
+
+
+def test_ternary_on_tables_that_are_not_groups(capsys, tmp_path):
+    # Z4 with a wrong inv, and the loop that is not associative: both have
+    # the group's operation names, and group-fast would answer wrongly
+    skew = algebra_to_json(cyclic_group(4))
+    skew["tables"]["inv"] = [0, 2, 1, 3]
+    loop = algebra_to_json(_not_quite_groups()["not associative"][0])
+    for name, alg, subs in (("skew.json", skew, ("1", "1", "2")),
+                            ("loop.json", loop, ("1", "2", "3"))):
+        path = _write_algebra(tmp_path, name, alg)
+        argv = ["commutator", "ternary", "--algebra", path]
+        for sub in subs:
+            argv += ["--sub", sub]
+        code, report = _run_json(capsys, *argv)
+        assert code == 0
+        assert report["result"]["strategy"] == "term-depth(2)"
+        assert report["complete"] is False
+        for strategy in ("group-fast", "word-oracle"):
+            code, out, err = _run(capsys, *argv, "--strategy", strategy)
+            assert code == 2 and out == ""
+            assert "needs a group" in err
+
+
+def test_ternary_default_is_group_fast_on_a_group_whatever_its_names(
+        capsys, tmp_path):
+    alg = algebra_to_json(cyclic_group(3))
+    names = {"mul": "add", "inv": "neg", "e": "zero"}
+    alg["signature"] = [{"op": names[o["op"]], "arity": o["arity"]}
+                        for o in alg["signature"]]
+    alg["basepoint_op"] = "zero"
+    alg["tables"] = {names[op]: t for op, t in alg["tables"].items()}
+    path = _write_algebra(tmp_path, "z3-add.json", alg)
+    code, report = _run_json(capsys, "commutator", "ternary", "--algebra",
+                             path, "--sub", "1", "--sub", "1", "--sub", "1")
+    assert code == 0
+    assert report["result"]["strategy"] == "group-fast"
+    assert report["result"]["commutator"] == ["0"]
+    assert report["complete"] is True
 
 
 # ---------------------------------------------------------------------------

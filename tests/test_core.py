@@ -12,7 +12,8 @@ from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
                          generate_congruence, generate_subuniverse,
                          hom_from_table, identity_hom, image_sub, kernel_sub,
                          power_closure, product, pullback)
-from commwb.sweeps import congruences, subgroups
+from commwb.commutators import _resolve_ternary_strategy, higgins_ternary
+from commwb.sweeps import congruences, cyclic_subgroups, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
 from conftest import brute_generated_subgroup, brute_congruences
@@ -427,7 +428,7 @@ def test_the_differential_test_covers_every_group_to_order_12(lib):
 def test_group_route_matches_the_semi_naive_engine(lib, key):
     alg = lib.algebra(key)
     copy, perm = _basepoint_fixing_relabel(alg, len(key) + alg.size)
-    assert core._is_group(alg) and core._is_group(copy)
+    assert core._group_tables(alg) and core._group_tables(copy)
     e = alg.basepoint
     seed_sets = [[(g,)] for g in range(alg.size)]
     subs = subgroups(alg)
@@ -505,7 +506,30 @@ def test_a_table_that_is_not_a_group_takes_the_semi_naive_engine(
     digits = _digits((alg, alg))
     keys = np.asarray(seeds) @ digits[0]
     assert np.array_equal(got, core._semi_naive((alg, alg), digits, keys))
-    assert not core._is_group(alg)
+    assert core._group_tables(alg) is None
+
+
+def _group_only_paths_refuse(alg):
+    """Every group-only path raises on ``alg``; the default ternary
+    strategy is term-depth."""
+    whole = Subuniverse(alg, tuple(range(alg.size)))
+    for strategy in ("group-fast", "word-oracle"):
+        with pytest.raises(ValidationError, match="needs a group"):
+            higgins_ternary(alg, whole, whole, whole, strategy)
+    for sweep in (subgroups, cyclic_subgroups):
+        with pytest.raises(ValidationError, match="needs a group"):
+            sweep(alg)
+    assert _resolve_ternary_strategy(alg, None) == "term-depth"
+
+
+@pytest.mark.parametrize("case", sorted(_not_quite_groups()))
+def test_group_only_paths_refuse_a_table_that_is_not_a_group(case):
+    _group_only_paths_refuse(_not_quite_groups()[case][0])
+
+
+def test_group_only_paths_refuse_a_group_too_large_to_check(monkeypatch):
+    monkeypatch.setattr(core, "MAX_CLOSURE_KEYS", 3 ** 3 - 1)
+    _group_only_paths_refuse(_relabel(cyclic_group(3), [0, 1, 2]))
 
 
 def test_the_group_check_runs_once_per_algebra(monkeypatch):

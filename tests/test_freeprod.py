@@ -14,13 +14,13 @@ import pytest
 import commwb._kernel_search as kernel_search
 from commwb._kernel_search import ternary_kernel_words
 from commwb.commutators import _WITNESS_CAP, higgins_ternary
-from commwb.core import (FinAlgebra, Subuniverse, ValidationError, check_hom,
-                         generate_subuniverse)
+from commwb.core import Subuniverse, check_hom, generate_subuniverse
 from commwb.sweeps import subgroups
-from commwb.varieties import (GROUP_SIGNATURE, cyclic_group, dicyclic_group,
-                              dihedral_group, symmetric_group)
+from commwb.varieties import (cyclic_group, dicyclic_group, dihedral_group,
+                              symmetric_group)
 from freeprod import (Word, cosmash_kernel_words, delete_factor, evaluate,
                       identity_word, make_word, word_inverse, word_multiply)
+from test_core import _relabel
 
 
 def _c2_c2_s3():
@@ -44,12 +44,13 @@ def c2_c2_s3_words():
 def _record_pairs(buf):
     """Syllable tuples of every record in an engine buffer, in record order,
     walked one length field at a time."""
+    buf = buf.tolist()
     out = []
     pos = 0
     while pos < len(buf):
-        length = int(buf[pos])
+        length = buf[pos]
         flat = buf[pos + 1:pos + 1 + 2 * length]
-        out.append(tuple((int(flat[2 * i]), int(flat[2 * i + 1]))
+        out.append(tuple((flat[2 * i], flat[2 * i + 1])
                          for i in range(length)))
         pos += 1 + 2 * length
     return out
@@ -57,14 +58,16 @@ def _record_pairs(buf):
 
 def _scalar_word_oracle(D, subs, bound):
     """Members and witnesses of the word oracle by folding each record of
-    the search syllable by syllable, in record order."""
-    mul, bp = D.tables["mul"], D.basepoint
+    the search syllable by syllable, in record order.  A factor's local
+    element x is its x-th member once the identity is moved first."""
+    mul, bp = D.tables["mul"].tolist(), D.basepoint
+    local = [[bp] + [m for m in sub.members if m != bp] for sub in subs]
     found, witnesses = {bp}, []
     for pairs in _record_pairs(ternary_kernel_words(subs, bound)):
         val, sylls = bp, []
         for f, x in pairs:
-            x = subs[f].members[x]
-            val = int(mul[val, x])
+            x = local[f][x]
+            val = mul[val][x]
             sylls.append((f, x))
         found.add(val)
         if val != bp and len(witnesses) < _WITNESS_CAP:
@@ -260,16 +263,32 @@ def test_word_oracle_with_no_kernel_words():
         assert report.result.members == (0,) and report.witnesses == ()
 
 
-def test_word_oracle_needs_the_identity_first():
-    # Z3 with its identity at index 2: the whole group's smallest member,
-    # 0, is not the identity
-    v = (np.arange(3) + 1) % 3
-    tables = {"mul": (v[:, None] + v[None, :] - 1) % 3,
-              "inv": (-v - 1) % 3, "e": np.asarray(2)}
-    z3 = FinAlgebra(GROUP_SIGNATURE, 3, tables, name="Z3'")
-    full = Subuniverse(z3, (0, 1, 2))
-    with pytest.raises(ValidationError, match="local index 0"):
-        higgins_ternary(z3, full, full, full, "word-oracle", word_bound=4)
+def test_word_oracle_on_groups_whose_identity_is_last():
+    # Z3' and S3 with element x renamed x - 1 mod n, so that the identity
+    # is the largest: the local order puts it first and keeps the others
+    # in order, so the search and the report are the catalogue's, renamed
+    z3 = cyclic_group(3)
+    s3, s3_subs = _c2_c2_s3()
+    for D, subs in ((z3, (Subuniverse(z3, (0, 1, 2)),) * 3),
+                    (s3, s3_subs)):
+        perm = (np.arange(D.size) - 1) % D.size
+        moved = _relabel(D, perm)
+        moved_subs = tuple(Subuniverse(moved, perm[list(sub.members)])
+                           for sub in subs)
+        assert moved.basepoint == D.size - 1
+        want = higgins_ternary(D, *subs, "word-oracle", word_bound=10)
+        got = higgins_ternary(moved, *moved_subs, "word-oracle",
+                              word_bound=10)
+        assert np.array_equal(ternary_kernel_words(moved_subs, 10),
+                              ternary_kernel_words(subs, 10))
+        assert got.result.members == tuple(
+            sorted(perm[list(want.result.members)].tolist()))
+        assert got.witnesses == tuple(
+            ("word", tuple((f, int(perm[x])) for f, x in sylls), int(perm[v]))
+            for _, sylls, v in want.witnesses)
+        assert (got.result.members, got.witnesses) \
+            == _scalar_word_oracle(moved, moved_subs, 10)
+    assert got.result.members == (2, 3, 5)   # A3, renamed
 
 
 def test_kernel_word_evaluations_reach_a3(c2_c2_s3_words):
