@@ -18,12 +18,22 @@ match is verified on the full key.  Records come out lexicographically in
 
 The widest level has 3(n-1)(2(n-1))^(⌈B/2⌉-1) rows for three factors of
 order n; a search over ``MAX_HALF_WORDS`` is refused before anything is
-allocated.  Results are cached per (table bytes, bound) key, which
-de-duplicates work across subgroup triples with the same local tables.
-The search also emits each record's start offset, which the returned
-buffer carries as ``starts``, so a caller folds all records at once without
-walking the buffer.  The cache keeps at most ``MAX_CACHE_BYTES`` of records
-and offsets, dropping the oldest buffer with its offsets.
+allocated.  The search also emits each record's start offset, which the
+returned buffer carries as ``starts``, so a caller folds all records at
+once without walking the buffer.
+
+Two facts spare most searches.  With a trivial factor, deleting it leaves
+every word as it is, so only the empty word lies in the kernel: the answer
+is one shared empty buffer, given before the size check and never cached.
+And permuting the factors only renames the factor ids in the words.  So a
+search runs once per multiset of local tables, on the factors sorted by
+(order, table bytes), and any other order of them renames the factor ids of
+those records, leaves the padding, and sorts them again; the buffer and
+its ``starts`` are byte for byte what a search in that order gives.  Both
+are cached, keyed by (table bytes, orders, bound) in their order, so a
+repeated triple is one lookup.  The cache keeps at most
+``MAX_CACHE_BYTES`` of records and offsets, dropping the oldest buffer with
+its offsets.
 """
 
 from __future__ import annotations
@@ -209,11 +219,7 @@ def _search(tab: _Tables, max_len: int) -> np.ndarray:
         rec[:, 1:1 + 2 * length:2] = np.hstack([fp, fq[:, ::-1]])
         rec[:, 2:2 + 2 * length:2] = np.hstack([xp, tab.inv[fq, xq][:, ::-1]])
         found.append(rec)
-    # the padding (0, 0) sorts below every syllable (x >= 1), so a lexsort
-    # on the syllable columns puts each word before its extensions
-    recs = np.concatenate(found)
-    recs = recs[np.lexsort(recs[:, :0:-1].T)]
-    return _flatten(recs)
+    return _flatten(np.concatenate(found))
 
 
 class _Records(np.ndarray):
@@ -224,7 +230,11 @@ class _Records(np.ndarray):
 
 
 def _flatten(recs: np.ndarray) -> _Records:
-    """Flat record buffer of padded record rows, with their offsets."""
+    """Flat record buffer of padded record rows, lexicographically ordered,
+    with their offsets."""
+    # the padding (0, 0) sorts below every syllable (x >= 1), so a lexsort
+    # on the syllable columns puts each word before its extensions
+    recs = recs[np.lexsort(recs[:, :0:-1].T)]
     sizes = 1 + 2 * recs[:, 0]
     buf = recs[np.arange(recs.shape[1]) < sizes[:, None]].view(_Records)
     buf.starts = np.cumsum(sizes) - sizes
@@ -233,10 +243,29 @@ def _flatten(recs: np.ndarray) -> _Records:
     return buf
 
 
+def _renamed(buf: _Records, perm, max_len: int) -> _Records:
+    """The records of ``buf`` with factor id c renamed ``perm[c]``."""
+    sizes = 1 + 2 * buf[buf.starts]
+    recs = np.zeros((len(sizes), 1 + 2 * max_len), dtype=np.int64)
+    recs[np.arange(recs.shape[1]) < sizes[:, None]] = buf
+    # the factor column of each syllable; the (0, 0) padding stays
+    factors = recs[:, 1::2]
+    used = np.arange(max_len) < recs[:, :1]
+    factors[used] = np.asarray(perm)[factors[used]]
+    return _flatten(recs)
+
+
+# No kernel word but the empty one, which no buffer holds: below bound 2,
+# and whenever a factor is trivial, since deleting that factor leaves every
+# word as it is.
+_NO_WORDS = _flatten(np.zeros((0, 3), dtype=np.int64))
+
 # Bytes of records and start offsets the word cache keeps, oldest dropped
-# first.  The 233 searches of a sweep over all subgroup triples of D4 and
-# Q8 plus cold searches up to factor orders (8, 8, 16), at bound 10, keep
-# about 35 MB.
+# first.  A sweep over all subgroup triples of D4 and Q8 plus ten cold
+# searches up to factor orders (8, 8, 16), at bound 10, runs 46 searches
+# and keeps one buffer per ordered triple without a trivial factor: 130
+# buffers, 35.0 MiB.  A sorted order that no caller asked for adds one
+# more (3.7 MiB for (8, 8, 16)).
 MAX_CACHE_BYTES = 1 << 26
 _WORD_CACHE: dict = {}
 
@@ -264,17 +293,36 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     local multiplication tables of three subgroups (``_local_order``).
 
     Record format: length L followed by L (factor, local element) pairs.
-    The buffer's ``starts`` holds the offset of each record.
-    Raises ``ValidationError`` when the half-word table would exceed
-    ``MAX_HALF_WORDS`` rows.
+    The buffer's ``starts`` holds the offset of each record.  With a
+    trivial factor the answer is the shared empty buffer, found without a
+    search.  Otherwise raises ``ValidationError`` when the half-word table
+    would exceed ``MAX_HALF_WORDS`` rows.
     """
     tabs, sizes = zip(*(_local_group_tables(s) for s in subs))
-    key = (tuple(t.tobytes() for t in tabs), tuple(sizes), int(max_len))
+    max_len = int(max_len)
+    if 1 in sizes or max_len < 2:
+        return _NO_WORDS
+    key = (tuple(t.tobytes() for t in tabs), sizes, max_len)
     hit = _WORD_CACHE.get(key)
     if hit is not None:
         return hit
+    # permuting the factors only renames the factor ids of the words, so
+    # one search serves every order: the one sorted by (order, table bytes)
+    perm = sorted(range(3), key=lambda i: (sizes[i], key[0][i]))
+    canon = (tuple(key[0][i] for i in perm), tuple(sizes[i] for i in perm),
+             max_len)
+    buf = _WORD_CACHE.get(canon)
+    if buf is None:
+        tables = _search_tables([tabs[i] for i in perm], canon[1], max_len)
+        buf = _remember(canon, _search(tables, max_len))
+    if canon != key:
+        buf = _remember(key, _renamed(buf, perm, max_len))
+    return buf
 
-    half = (max(int(max_len), 0) + 1) // 2
+
+def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
+    """The padded tables of a search, once its size is known to fit."""
+    half = (max_len + 1) // 2
     rows = _widest_level(sizes, half)
     if rows > MAX_HALF_WORDS:
         raise ValidationError(
@@ -292,11 +340,15 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     for i, t in enumerate(tabs):
         mul[i, :sizes[i], :sizes[i]] = t
         inv[i, :sizes[i]] = np.argmin(t, axis=1)
-    result = _flatten(np.zeros((0, 1), dtype=np.int64)) if max_len < 2 \
-        else _search(_Tables(mul, inv, np.asarray(sizes), xbits), int(max_len))
-    _WORD_CACHE[key] = result
-    held = sum(buf.nbytes + buf.starts.nbytes for buf in _WORD_CACHE.values())
+    return _Tables(mul, inv, np.asarray(sizes), xbits)
+
+
+def _remember(key: tuple, buf: _Records) -> _Records:
+    """Cache ``buf`` under ``key``, dropping the oldest buffers over
+    ``MAX_CACHE_BYTES``."""
+    _WORD_CACHE[key] = buf
+    held = sum(b.nbytes + b.starts.nbytes for b in _WORD_CACHE.values())
     while held > MAX_CACHE_BYTES:
         old = _WORD_CACHE.pop(next(iter(_WORD_CACHE)))
         held -= old.nbytes + old.starts.nbytes
-    return result
+    return buf

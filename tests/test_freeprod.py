@@ -14,7 +14,8 @@ import pytest
 import commwb._kernel_search as kernel_search
 from commwb._kernel_search import ternary_kernel_words
 from commwb.commutators import _WITNESS_CAP, higgins_ternary
-from commwb.core import Subuniverse, check_hom, generate_subuniverse
+from commwb.core import (Subuniverse, ValidationError, check_hom,
+                         generate_subuniverse)
 from commwb.sweeps import subgroups
 from commwb.varieties import (cyclic_group, dicyclic_group, dihedral_group,
                               symmetric_group)
@@ -245,6 +246,159 @@ def test_word_cache_drops_its_oldest_records(monkeypatch):
     kept = list(kernel_search._WORD_CACHE.values())
     assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
     assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
+
+
+_SEARCH = kernel_search._search
+
+
+def _tables_key(subs):
+    """The local tables of ``subs``, in their order, as bytes."""
+    return tuple(kernel_search._local_group_tables(s)[0].tobytes()
+                 for s in subs)
+
+
+def _fresh_search(subs, bound):
+    """The search on the tables of ``subs`` in their own order, bypassing
+    the word cache."""
+    tabs, sizes = zip(*(kernel_search._local_group_tables(s) for s in subs))
+    return _SEARCH(kernel_search._search_tables(tabs, sizes, bound), bound)
+
+
+def _same_buffer(got, want):
+    return got.tobytes() == want.tobytes() and got.dtype == want.dtype \
+        and got.starts.tobytes() == want.starts.tobytes()
+
+
+@pytest.fixture
+def counted_searches(monkeypatch):
+    """An empty word cache, and the list of the searches run from now."""
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    calls = []
+
+    def counted(tab, max_len):
+        calls.append(tuple(tab.ns.tolist()))
+        return _SEARCH(tab, max_len)
+    monkeypatch.setattr(kernel_search, "_search", counted)
+    return calls
+
+
+def _by_multiset(triples):
+    """The triples grouped by the multiset of their local tables, each group
+    in first-seen order."""
+    groups = {}
+    for subs in triples:
+        groups.setdefault(tuple(sorted(_tables_key(subs))), []).append(subs)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("D", [dihedral_group(4), dicyclic_group(2),
+                               symmetric_group(3)], ids=["D4", "Q8", "S3"])
+def test_word_cache_matches_a_fresh_search(D, counted_searches):
+    # every ordered subgroup triple, through the cache, against the search
+    # on its own order; the cache is emptied before each multiset of
+    # tables, so its first order comes cold and the others from its
+    # canonical buffer
+    triples = list(itertools.product(subgroups(D), repeat=3))
+    fresh = {}
+    for group in _by_multiset(triples):
+        kernel_search._WORD_CACHE.clear()
+        for subs in group:
+            got = ternary_kernel_words(subs, 10)
+            key = _tables_key(subs)
+            if key not in fresh:
+                fresh[key] = _fresh_search(subs, 10)
+            assert _same_buffer(got, fresh[key]), key
+            assert ternary_kernel_words(subs, 10) is got
+    # one search per multiset of nontrivial tables, none for the others
+    assert len(counted_searches) == sum(
+        all(len(s) > 1 for s in group[0]) for group in _by_multiset(triples))
+
+
+# One subgroup triple per profile of the benchmark's ternary sample, orders
+# 6 to 12: (group, subgroup orders).  Where a profile repeats an order,
+# the two subgroups are the first and last of that order.
+_SAMPLE_PROFILES = (
+    (symmetric_group(3), (2, 3, 6)), (symmetric_group(3), (2, 2, 6)),
+    (dihedral_group(4), (2, 4, 8)), (dihedral_group(4), (4, 4, 8)),
+    (dihedral_group(5), (2, 5, 10)), (dihedral_group(5), (2, 2, 10)),
+    (dihedral_group(6), (3, 4, 12)), (dihedral_group(6), (6, 6, 12)))
+
+
+def test_word_cache_matches_a_fresh_search_on_relabelled_samples(
+        counted_searches):
+    rng = np.random.default_rng(14)
+    for D, orders in _SAMPLE_PROFILES:
+        perm = np.r_[0, 1 + rng.permutation(D.size - 1)]
+        by_order = {}
+        for sub in subgroups(_relabel(D, perm)):
+            by_order.setdefault(len(sub), []).append(sub)
+        subs = [by_order[o][-1 if o in orders[:i] else 0]
+                for i, o in enumerate(orders)]
+        kernel_search._WORD_CACHE.clear()
+        before = len(counted_searches)
+        for order in itertools.permutations(subs):
+            got = ternary_kernel_words(order, 10)
+            assert len(got) and _same_buffer(got, _fresh_search(order, 10))
+        assert len(counted_searches) == before + 1
+
+
+def test_a_permuted_triple_whose_canonical_buffer_was_dropped(
+        counted_searches, monkeypatch):
+    _, (c2, _, full) = _c2_c2_s3()
+    canonical = ternary_kernel_words((c2, c2, full), 10)
+    # room for one buffer: caching the next order drops the canonical one
+    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
+                        canonical.nbytes + canonical.starts.nbytes)
+    ternary_kernel_words((full, c2, c2), 10)
+    assert list(kernel_search._WORD_CACHE) == [
+        (_tables_key((full, c2, c2)), (6, 2, 2), 10)]
+    got = ternary_kernel_words((c2, full, c2), 10)
+    assert _same_buffer(got, _fresh_search((c2, full, c2), 10))
+    assert counted_searches == [(2, 2, 6), (2, 2, 6)]
+
+
+def test_a_permuted_buffer_keeps_each_word_before_its_extensions():
+    # a kernel word that is a prefix of another leaves a kernel word of at
+    # least 10 syllables, so only from bound 20 does the (0, 0) padding
+    # decide the order; renaming (C2, C2, C3) into (C3, C2, C2) sends
+    # factor 0 to 1, which must not touch the padding
+    s3 = symmetric_group(3)
+    subs = (Subuniverse(s3, (0, 3, 4)),) + (Subuniverse(s3, (0, 2)),) * 2
+    got = ternary_kernel_words(subs, 20)
+    assert _same_buffer(got, _fresh_search(subs, 20))
+
+
+def test_each_multiset_of_factors_is_searched_once(counted_searches):
+    s3, d4 = symmetric_group(3), dihedral_group(4)
+    c2, c3, six = (Subuniverse(s3, m) for m in ((0, 2), (0, 3, 4), range(6)))
+    for subs in itertools.permutations((c2, c3, six)):
+        first = ternary_kernel_words(subs, 10)
+        assert ternary_kernel_words(subs, 10) is first
+    assert counted_searches == [(2, 3, 6)]
+    # Z4 and V4 have the same order and different tables
+    z4, v4, eight = (Subuniverse(d4, m)
+                     for m in ((0, 1, 2, 3), (0, 2, 4, 6), range(8)))
+    for subs in itertools.permutations((z4, v4, eight)):
+        ternary_kernel_words(subs, 10)
+    assert len(counted_searches) == 2
+
+
+def test_a_trivial_factor_gives_no_words_without_a_search(counted_searches):
+    d8 = dihedral_group(8)
+    one, full = Subuniverse(d8, (0,)), Subuniverse(d8, range(16))
+    two = next(s for s in subgroups(d8) if len(s) == 2)
+    # a search would need 341,718,750 half-words, over the limit; with an
+    # order-2 factor in place of the trivial one it is still refused
+    assert kernel_search._widest_level((1, 16, 16), 7) == 341_718_750 \
+        > kernel_search.MAX_HALF_WORDS
+    with pytest.raises(ValidationError, match="681,237,000 half-words"):
+        ternary_kernel_words((two, full, full), 14)
+    for subs in itertools.permutations((one, full, full)):
+        words = ternary_kernel_words(subs, 14)
+        assert len(words) == 0 and len(words.starts) == 0
+        assert words is ternary_kernel_words((full, two, one), 10)
+    assert counted_searches == [] and kernel_search._WORD_CACHE == {}
+    assert not words.flags.writeable and not words.starts.flags.writeable
 
 
 def test_word_oracle_matches_the_scalar_fold():
