@@ -664,24 +664,19 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     return _MEMO.put(memo_key, factors, route(factors, digits, seed_keys))
 
 
-def _operation_tables(factors: Sequence[FinAlgebra]):
-    """One table per operation for all the factors, and ``lift``: when the
-    factors differ, the tables of an operation of positive arity are
-    stacked along the first argument, which factor j reads at offset
-    lift[j]; otherwise ``lift`` is None."""
+def _stacked_table(factors: Sequence[FinAlgebra], op: str):
+    """The table of the binary ``op`` for all the factors, and ``lift``:
+    when the factors differ, their tables are stacked along the first
+    argument, which factor j reads at offset lift[j]; otherwise ``lift``
+    is None."""
     distinct = list({id(a): a for a in factors}.values())
     if len(distinct) == 1:
-        return distinct[0].tables, None
+        return distinct[0].tables[op], None
     nmax = max(a.size for a in factors)
-    tables = {}
-    for op, k in factors[0].signature.ops:
-        if k:
-            tables[op] = np.zeros((len(distinct) * nmax,) + (nmax,) * (k - 1),
-                                  dtype=np.int64)
-            for d, a in enumerate(distinct):
-                tables[op][(slice(d * nmax, d * nmax + a.size),)
-                           + (slice(a.size),) * (k - 1)] = a.tables[op]
-    return tables, np.asarray([nmax * distinct.index(a) for a in factors])
+    table = np.zeros((len(distinct) * nmax, nmax), dtype=np.int64)
+    for d, a in enumerate(distinct):
+        table[d * nmax:d * nmax + a.size, :a.size] = a.tables[op]
+    return table, np.asarray([nmax * distinct.index(a) for a in factors])
 
 
 def _group_tables(algebra: FinAlgebra):
@@ -728,8 +723,8 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
     Dimino's algorithm, the next seed not yet found joins the generators
     and is multiplied onto every row so far, the new rows by every
     generator until none is new; each generator at least doubles them."""
-    tables, lift = _operation_tables(factors)
-    mul = tables[next(op for op, k in factors[0].signature.ops if k == 2)]
+    mul, lift = _stacked_table(
+        factors, next(op for op, k in factors[0].signature.ops if k == 2))
     state = np.zeros(np.prod(digits[1]), np.uint8)
 
     def times(keys, gens):
@@ -771,9 +766,13 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
     only to argument tuples holding a row found in round r-1.  For
     argument position i, positions before i take older rows, position i a
     new row and positions after i any row, so every such tuple is
-    evaluated once.  Membership is one byte per key, and candidates are
-    marked about ``_CHUNK`` at a time (with derivations, all of one
-    operation's in a round at once).
+    evaluated once.  A candidate's key is the sum of one lookup per
+    coordinate (``_key_parts``), with no grid of its rows.  Membership is
+    one byte per key, and candidates are marked about ``_CHUNK`` at a
+    time (with derivations, all of one operation's in a round at once).
+    Once every key of the product is seen, checked at the start of each
+    argument position and after each mark, nothing new can be found, and
+    the closure stops.
 
     With ``derivations`` it also returns each row's first derivation in
     the order (round, operation in signature order, argument positions in
@@ -782,20 +781,22 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
     constants), or an operation name and its argument rows.
     """
     strides = digits[0].tolist()
+    total = int(np.prod(digits[1]))
     sig = factors[0].signature.ops
     consts = [(op, sum(st * int(a.tables[op][()])
                        for st, a in zip(strides, factors)))
               for op, k in sig if k == 0]
     start = seed_keys.tolist() + [key for _, key in consts]
-    state = np.zeros(np.prod(digits[1]), np.uint8)  # 0 unseen, 1 new, 2 older
+    state = np.zeros(total, np.uint8)  # 0 unseen, 1 new, 2 older
     state[start] = 1
     how: dict = {}
     for j, key in enumerate(start if derivations else ()):
         c = j - len(seed_keys)
         how.setdefault(key, ((0, j), None, j) if c < 0
                        else ((0, j), consts[c][0], ()))
-    tables, lift = _operation_tables(factors)
-    ops = [(oi, op, k, tables[op]) for oi, (op, k) in enumerate(sig) if k]
+    lookups, weights, starts = _key_parts(factors, digits)
+    sizes, scales = digits[1][:, None], digits[0][:, None]
+    ops = [(oi, op, k) for oi, (op, k) in enumerate(sig) if k]
     rnd, grew = 0, True
     while grew:
         known = state.nonzero()[0]
@@ -806,21 +807,30 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
         # the rows, new ones first, so that each argument position ranges
         # over a span of them; ``order`` maps them back to key order
         order = older.argsort(kind="stable")
-        rows = known[order, None] // digits[0] % digits[1]
-        lifted = rows if lift is None else rows + lift
+        cols = known[order] // scales % sizes
+        rows = cols.T if derivations else None
+        offsets = {}
+        for k, weight in weights.items():
+            offsets[k] = [cols * w for w in weight] + [cols]
+            offsets[k][0] = offsets[k][0] + starts[k]
         found, count, grew = [], 0, 0
-        for oi, op, k, table in ops:
+        for oi, op, k in ops:
             for i in range(k):
+                # the product is full (grew counts a repeated key once per
+                # repeat, so it can only be full when this holds)
+                if len(known) + grew >= total and state.all():
+                    break
                 spans = [slice(fresh, None)] * i + [slice(fresh)] \
                     + [slice(None)] * (k - i - 1)
-                for vals, at in _apply(table, lifted, rows, spans,
+                for keys, at in _apply(lookups[op], offsets[k], spans,
                                        derivations):
-                    keys = vals @ digits[0]
                     found.append((keys, at) if derivations else keys.ravel())
                     count += keys.size
                     if count >= _CHUNK and not derivations:
                         grew += _mark(found, state)
                         found, count = [], 0
+                        if len(known) + grew >= total and state.all():
+                            break
             if derivations and found:
                 grew += _first_derivations(found, order, rows, (rnd, oi), op,
                                            state, how)
@@ -831,6 +841,32 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
     if derivations:
         return rows, [how[key] for key in keys.tolist()]
     return rows
+
+
+def _key_parts(factors: Sequence[FinAlgebra], digits: np.ndarray):
+    """What ``_semi_naive`` reads keys from.  ``lookups[op]`` holds, for
+    each factor j in turn, its table of op flattened and times the stride
+    of coordinate j, so that a key is the sum of one lookup per
+    coordinate.  For a k-ary op, the argument at position p < k-1 adds
+    its coordinate j times ``weights[k][p]`` (n_j^(k-1-p), a column over
+    j) to coordinate j's index, the last argument its coordinate j, and
+    position 0 also ``starts[k]``, where j's part begins.  A power of one
+    algebra keeps these on the algebra, one set per width; at width 1 the
+    lookups are the algebra's own tables."""
+    one = factors[0] if all(a is factors[0] for a in factors) else None
+    kept = one.__dict__.setdefault("_key_parts", {}) if one else {}
+    if len(factors) not in kept:
+        sig, sizes = factors[0].signature.ops, digits[1][:, None]
+        lookups = {op: factors[0].tables[op].ravel() if len(factors) == 1
+                   else np.concatenate([a.tables[op].ravel() for a in factors])
+                   * np.repeat(digits[0], digits[1] ** k)
+                   for op, k in sig if k}
+        weights = {k: [sizes ** (k - 1 - p) for p in range(k - 1)]
+                   for _, k in sig if k}
+        starts = {k: np.cumsum(sizes ** k, axis=0) - sizes ** k
+                  for k in weights}
+        kept[len(factors)] = lookups, weights, starts
+    return kept[len(factors)]
 
 
 class _ClosureMemo:
@@ -890,25 +926,28 @@ def _sorted_distinct(values: np.ndarray, first: bool = False):
     return (ordered[head], order[head]) if first else ordered[head]
 
 
-def _apply(table: np.ndarray, lifted: np.ndarray, rows: np.ndarray, spans,
-           places: bool):
-    """Values of one operation over the grid of the row spans, in chunks
-    of shape (c, rows of the last span, factors), each with its argument
-    positions (broadcastable to the chunk's grid) if ``places``."""
-    *outer, inner = [(rows if p else lifted)[s] for p, s in enumerate(spans)]
-    shape = tuple(len(a) for a in outer)
+def _apply(lookup: np.ndarray, offsets, spans, places: bool):
+    """Keys of one operation over the grid of the row spans, in chunks of
+    shape (c, rows of the last span), each with its argument positions
+    (broadcastable to the chunk's grid) if ``places``.  ``offsets[p]``
+    holds, per coordinate and row, what argument position p adds to the
+    index into ``lookup``; a key is the sum of its coordinates' lookups."""
+    *outer, inner = [o[:, s] for o, s in zip(offsets, spans)]
+    shape = tuple(a.shape[1] for a in outer)
     count = math.prod(shape)
-    step = max(1, _CHUNK // max(1, len(inner)))
-    for lo in range(0, count if len(inner) else 0, step):
+    step = max(1, _CHUNK // max(1, inner.shape[1]))
+    for lo in range(0, count if inner.shape[1] else 0, step):
         hi = min(lo + step, count)
         picks = (slice(lo, hi),) * len(shape) if len(shape) < 2 \
             else np.unravel_index(np.arange(lo, hi), shape)
-        vals = table[tuple(a[p, None] for a, p in zip(outer, picks))
-                     + (inner[None],)]
-        at = [(s.start or 0) + np.arange(len(rows))[p][:, None]
+        index = inner[:, None]
+        for a, p in zip(outer, picks):
+            index = index + a[:, p, None]
+        at = [(s.start or 0) + np.arange(offsets[0].shape[1])[p][:, None]
               for s, p in zip(spans, picks)] + [
-            np.arange(len(rows))[spans[-1]][None]] if places else None
-        yield vals, at
+            np.arange(offsets[0].shape[1])[spans[-1]][None]] if places \
+            else None
+        yield np.add.reduce(lookup[index]), at
 
 
 def _mark(found, state: np.ndarray) -> int:

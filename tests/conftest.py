@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from commwb import core
@@ -121,6 +122,43 @@ def brute_normal_closure(alg, seed_members) -> tuple[int, ...]:
         if grown == seeds:
             return tuple(sorted(grown))
         seeds = grown
+
+
+# ---------------------------------------------------------------------------
+# oracle: a subalgebra of a product by naive fixpoint iteration
+
+
+def naive_closure(factors, seeds) -> np.ndarray:
+    """Rows of the subalgebra of factors[0] x ... x factors[-1] generated
+    by ``seeds`` and the constants, in lexicographic order.
+
+    Every round applies every operation to every tuple of the rows found
+    so far, one coordinate at a time on that factor's own table, until a
+    round adds no row: no split of new and older rows, and no stop before
+    a round finds nothing, even on a full product.
+    """
+    sig, m = factors[0].signature.ops, len(factors)
+    sizes = [a.size for a in factors]
+    rows = np.asarray([tuple(s) for s in seeds]
+                      + [[int(a.tables[op][()]) for a in factors]
+                         for op, k in sig if k == 0],
+                      dtype=np.int64).reshape(-1, m)
+    rows = np.unique(rows, axis=0)
+    while True:
+        values = [rows]
+        for op, k in sig:
+            if k:
+                # argument p runs along axis p of a grid over the rows
+                values.append(np.stack([
+                    factors[j].tables[op][tuple(
+                        rows[:, j].reshape((-1,) + (1,) * (k - 1 - p))
+                        for p in range(k))].ravel()
+                    for j in range(m)], axis=1))
+        codes = np.unique(np.ravel_multi_index(
+            np.concatenate(values).T, sizes))
+        if len(codes) == len(rows):
+            return rows
+        rows = np.stack(np.unravel_index(codes, sizes), axis=1)
 
 
 # ---------------------------------------------------------------------------

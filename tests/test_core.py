@@ -12,11 +12,13 @@ from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
                          generate_congruence, generate_subuniverse,
                          hom_from_table, identity_hom, image_sub, kernel_sub,
                          power_closure, product, pullback)
-from commwb.commutators import _resolve_ternary_strategy, higgins_ternary
+from commwb.commutators import (_resolve_ternary_strategy, higgins_ternary,
+                                normalise)
 from commwb.sweeps import congruences, cyclic_subgroups, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
-from conftest import brute_generated_subgroup, brute_congruences
+from conftest import (brute_generated_subgroup, brute_congruences,
+                      naive_closure)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +263,34 @@ def test_power_closure_is_the_same_in_small_chunks(monkeypatch):
     assert np.array_equal(power_closure(d4, seeds), whole)
 
 
+def _nabla_smith_seeds(alg):
+    """The seeds of smith's D^4 closure for [nabla, nabla]."""
+    everything = list(itertools.product(range(alg.size), repeat=2))
+    return [(a, a, b, b) for a, b in everything] \
+        + [(u, v, u, v) for u, v in everything]
+
+
 def test_semi_naive_closure_is_the_same_in_small_chunks(monkeypatch, lib):
-    # the same check on a carrier that is no group, so on the other route
-    alg = lib.algebra("chain2xchain3")
-    seeds = [(1, 0, 4, 5), (2, 3, 3, 0), (5, 5, 1, 2)]
-    whole = power_closure(alg, seeds)
-    assert len(whole) > 7
+    # the same check on carriers that are no group, so on the other route;
+    # the second seed set closes to the whole of chain3^4, where the engine
+    # stops early, with derivations and without
+    chain3 = lib.algebra("chain3")
+    cases = [(lib.algebra("chain2xchain3"),
+              [(1, 0, 4, 5), (2, 3, 3, 0), (5, 5, 1, 2)]),
+             (chain3, _nabla_smith_seeds(chain3))]
+    whole = [power_closure(alg, seeds) for alg, seeds in cases]
+    derived = [_run_semi_naive((alg,) * 4, seeds, derivations=True)
+               for alg, seeds in cases]
+    assert len(whole[0]) > 7 and len(whole[1]) == 3 ** 4
     monkeypatch.setattr(core, "_CHUNK", 7)
-    core._MEMO.clear()
-    assert np.array_equal(power_closure(alg, seeds), whole)
+    core._MEMO.clear()  # else the second call returns the memo's rows
+    for (alg, seeds), rows, (first_rows, how) in zip(cases, whole, derived):
+        assert np.array_equal(power_closure(alg, seeds), rows)
+        assert np.array_equal(first_rows, rows)
+        small_rows, small_how = _run_semi_naive((alg,) * 4, seeds,
+                                                derivations=True)
+        assert np.array_equal(small_rows, rows) and small_how == how
+        _assert_derivations_give_their_rows((alg,) * 4, seeds, rows, how)
 
 
 def test_closure_under_a_ternary_operation_matches_brute_closure():
@@ -399,14 +420,19 @@ def _digits(factors):
     return np.asarray([strides, sizes])
 
 
+def _seed_keys(factors, seeds):
+    """The digits of the factors and the keys of the seed rows."""
+    digits = _digits(factors)
+    return digits, np.asarray(seeds, dtype=np.int64).reshape(
+        -1, len(factors)) @ digits[0]
+
+
 def _both_routes(factors, seeds):
     """The rows of the group route and of the semi-naive engine, each
     called directly on the same seed rows."""
-    digits = _digits(factors)
-    keys = np.asarray(seeds, dtype=np.int64).reshape(-1, len(factors)) \
-        @ digits[0]
-    return (core._right_closure(factors, digits, keys),
-            core._semi_naive(factors, digits, keys))
+    keys = _seed_keys(factors, seeds)
+    return (core._right_closure(factors, *keys),
+            core._semi_naive(factors, *keys))
 
 
 def _basepoint_fixing_relabel(alg, seed):
@@ -460,6 +486,124 @@ def test_group_route_over_different_groups_matches_the_semi_naive_engine():
                   [], [(0, 0, 0)] * 2):
         fast, slow = _both_routes((d4, z3, s3), seeds)
         assert np.array_equal(fast, slow), seeds
+
+
+# ---------------------------------------------------------------------------
+# the semi-naive engine against a naive fixpoint
+
+
+HEYTING = ("chain2", "chain3", "chain4", "diamond", "chain2xchain3")
+
+
+def _run_semi_naive(factors, seeds, derivations=False):
+    """``core._semi_naive`` called directly on the seed rows."""
+    return core._semi_naive(factors, *_seed_keys(factors, seeds),
+                            derivations)
+
+
+def _assert_derivations_give_their_rows(factors, seeds, rows, how):
+    """Every row's first derivation evaluates to that row: the seed row it
+    names, the constants, or the operation on its argument rows."""
+    assert len(how) == len(rows)
+    for row, (_, op, args) in zip(rows.tolist(), how):
+        if op is None:
+            assert list(seeds[args]) == row
+        elif args == ():
+            assert [int(a.tables[op][()]) for a in factors] == row
+        else:
+            assert [int(a.tables[op][tuple(arg[j] for arg in args)])
+                    for j, a in enumerate(factors)] == row
+
+
+@pytest.mark.parametrize("key", HEYTING)
+def test_semi_naive_engine_matches_the_naive_fixpoint(lib, key):
+    # on every congruence pair: smith's D^4 seeds, and the D^3 seeds of
+    # the joint generation of the normalisations
+    alg = lib.algebra(key)
+    assert core._group_tables(alg) is None
+    bp = alg.basepoint
+    congs = congruences(alg)
+    for R, S in itertools.product(congs, repeat=2):
+        smith_seeds = [(a, a, b, b) for a, b in R.all_pairs()] \
+            + [(u, v, u, v) for u, v in S.all_pairs()]
+        joint = [(k, bp, k) for k in normalise(R).members] \
+            + [(bp, l, l) for l in normalise(S).members]
+        for seeds in (smith_seeds, joint):
+            factors = (alg,) * len(seeds[0])
+            assert np.array_equal(_run_semi_naive(factors, seeds),
+                                  naive_closure(factors, seeds)), \
+                (key, R.block_id, S.block_id, len(seeds[0]))
+
+
+def test_semi_naive_engine_over_different_factors_matches_the_naive_fixpoint(
+        lib):
+    # factors of different orders read their own parts of the lookups
+    factors = tuple(lib.algebra(key) for key in ("chain2", "diamond",
+                                                   "chain3"))
+    everything = list(itertools.product(range(2), range(4), range(3)))
+    rng = np.random.default_rng(15)
+    seed_sets = [[], [(0, 2, 1)], [(1, 0, 0), (0, 3, 2)], everything]
+    seed_sets += [[everything[i] for i in rng.choice(24, size, replace=False)]
+                  for size in (2, 3, 3, 4, 6)]
+    for seeds in seed_sets:
+        want = naive_closure(factors, seeds)
+        assert np.array_equal(_run_semi_naive(factors, seeds), want), seeds
+        rows, how = _run_semi_naive(factors, seeds, derivations=True)
+        assert np.array_equal(rows, want), seeds
+        _assert_derivations_give_their_rows(factors, seeds, rows, how)
+    assert len(naive_closure(factors, everything)) == 24
+
+
+def test_no_candidate_is_evaluated_once_the_product_is_full(monkeypatch,
+                                                            lib):
+    chain3 = lib.algebra("chain3")
+    filled, late = [False], []
+    mark, derive, apply = core._mark, core._first_derivations, core._apply
+
+    def marking(found, state):
+        new = mark(found, state)
+        filled[0] = bool(state.all())
+        return new
+
+    def deriving(found, order, rows, when, op, state, how):
+        new = derive(found, order, rows, when, op, state, how)
+        filled[0] = bool(state.all())
+        return new
+
+    def applying(*args):
+        for chunk in apply(*args):
+            late.append(filled[0])
+            yield chunk
+
+    monkeypatch.setattr(core, "_mark", marking)
+    monkeypatch.setattr(core, "_first_derivations", deriving)
+    monkeypatch.setattr(core, "_apply", applying)
+    monkeypatch.setattr(core, "_CHUNK", 7)  # marks within a round
+    seeds = _nabla_smith_seeds(chain3)
+    for derivations in (False, True):
+        filled[0], late[:] = False, []
+        out = _run_semi_naive((chain3,) * 4, seeds, derivations)
+        rows = out[0] if derivations else out
+        assert len(rows) == 3 ** 4 and late and not any(late)
+    # seeds that are the whole product: no round evaluates anything
+    everything = list(itertools.product(range(3), repeat=3))
+    for derivations in (False, True):
+        filled[0], late[:] = False, []
+        _run_semi_naive((chain3,) * 3, everything, derivations)
+        assert not late
+
+
+def test_a_key_found_many_times_does_not_make_the_product_full(monkeypatch):
+    # z(x, y) = 0 finds one new key four times in the first round, more
+    # than the three keys left unseen; u(1) = 2 is evaluated after it
+    sig = Signature((("z", 2), ("u", 1), ("top", 0)), "top")
+    u = np.arange(5)
+    u[1] = 2
+    alg = FinAlgebra(sig, 5, {"z": np.zeros((5, 5), dtype=int), "u": u,
+                              "top": 4})
+    monkeypatch.setattr(core, "_CHUNK", 4)  # a mark after z's four keys
+    assert naive_closure((alg,), [(1,)])[:, 0].tolist() == [0, 1, 2, 4]
+    assert _run_semi_naive((alg,), [(1,)])[:, 0].tolist() == [0, 1, 2, 4]
 
 
 def _not_quite_groups():

@@ -17,11 +17,11 @@ each kernel-word buffer as the SHA-256 of its ``<i8`` bytes.
 * ``cli/<argv>``: a ``--format json`` report with ``wall_time_ms``
   masked, plus stderr and the exit code, run from the repository root.
 
-pytest checks every entry except the Smith commutators of chain3xchain3,
-the slowest carrier; ``PYTHONPATH=src python tests/test_frozen_outputs.py``
-checks every entry and exits 1 on a mismatch.  A mismatch prints the fresh
-digest.  A change that means to move an output copies that digest into
-the JSON file by hand and says so in CHANGES.md.
+pytest checks every entry, one test each, and
+``PYTHONPATH=src python tests/test_frozen_outputs.py`` checks them all in
+one run and exits 1 on a mismatch.  A mismatch prints the fresh digest.
+A change that means to move an output copies that digest into the JSON
+file by hand and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from commwb.varieties import builtin_library
 
 ROOT = Path(__file__).resolve().parent.parent
 FROZEN = Path(__file__).with_name("frozen_outputs.json")
-SLOW = {"smith/chain3xchain3"}
 FX = "src/commwb/fixtures"
 CLI_CALLS = (
     ("algebra", "verify", "--file", f"{FX}/S3.json", "--profile", "groups"),
@@ -216,7 +215,7 @@ def test_every_entry_has_a_frozen_digest():
     assert sorted(_frozen()) == sorted(ENTRIES)
 
 
-@pytest.mark.parametrize("name", [n for n in ENTRIES if n not in SLOW])
+@pytest.mark.parametrize("name", ENTRIES)
 def test_frozen_output(name):
     fresh = digest(ENTRIES[name]())
     assert fresh == _frozen()[name], f"{name} moved: fresh digest {fresh}"
