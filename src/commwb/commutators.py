@@ -18,8 +18,9 @@ so S answers both central questions at once:
   cooperator exists.
 
 On top of the binary case the module provides ternary commutators (three
-strategies of different strength), the Smith commutator of congruences via
-the standard fourfold-matrix fixpoint, normalisation, w-normal closures,
+strategies of different strength), the Smith commutator of congruences
+(from normal subgroups on groups, via the standard fourfold-matrix
+fixpoint elsewhere), normalisation, w-normal closures,
 and verdicts for when two morphisms commute over a weight.
 """
 
@@ -41,6 +42,7 @@ from .core import (
     image_sub,
     power_closure,
     _group_tables,
+    _normal_cosets,
     _require_group,
     _sorted_distinct,
 )
@@ -435,18 +437,41 @@ def higgins_ternary(D: FinAlgebra, K: Subuniverse, L: Subuniverse,
 
 
 def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
-    """Smith commutator [R, S] via the fourfold-matrix fixpoint.
+    """Smith commutator [R, S].
+
+    On a group (``_group_tables``), the cosets of [N_R, N_S], the subgroup
+    generated by the commutators [m, n] of the basepoint blocks N_R and
+    N_S (``core._normal_cosets``): for groups the Smith commutator of two
+    congruences is the congruence of the group commutator of their normal
+    subgroups (J.D.H. Smith, *Mal'cev Varieties*, LNM 554, 1976;
+    Freese–McKenzie, *Commutator Theory for Congruence Modular
+    Varieties*, 1987).  Otherwise the fourfold-matrix fixpoint of
+    ``_smith_fixpoint``.  R and S centralise each other exactly when the
+    result is the diagonal.
+    """
+    if R.parent is not D or S.parent is not D:
+        raise ValidationError("congruences must live on the carrier")
+    group = _group_tables(D)
+    if group is None:
+        return _smith_fixpoint(D, R, S)
+    mul, inv = group
+    m = np.asarray(normalise(R).members)[:, None]
+    n = np.asarray(normalise(S).members)[None, :]
+    return _normal_cosets(D, mul, inv, mul[mul[mul[m, n], inv[m]], inv[n]])
+
+
+def _smith_fixpoint(D: FinAlgebra, R: Congruence, S: Congruence
+                    ) -> Congruence:
+    """[R, S] for any signature, and the tests' reference for the group
+    route of ``smith``.
 
     Builds the subalgebra of D^4 generated by all rows (a, a, b, b) with
     a R b and (u, v, u, v) with u S v, then grows a congruence from the
     diagonal by forcing: whenever (x, y, z, w) is in the matrix algebra
     and x ~ y already holds, z ~ w is added; repeat to fixpoint.  The
     direction is fixed as (x, y | z, w): related first column forces the
-    second.  R and S centralise each other exactly when the result is the
-    diagonal.
+    second.
     """
-    if R.parent is not D or S.parent is not D:
-        raise ValidationError("congruences must live on the carrier")
     seeds = [(a, a, b, b) for a, b in R.all_pairs()]
     seeds += [(u, v, u, v) for u, v in S.all_pairs()]
     pts = power_closure(D, seeds, width=4)

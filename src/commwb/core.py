@@ -5,12 +5,14 @@ machinery here: subuniverse and congruence generation, products, pullbacks,
 kernels.  One closure engine, ``_closure``, computes every generated
 subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
 search, relations in a product of two algebras.  It has two routes with
-the same rows.  When every factor is a group (one binary, one unary and
-the basepoint operation, with a group's tables: ``_group_tables``, once
-per algebra), the group route closes the identity under right
-multiplication by the seeds, adding one generator at a time as Dimino's
-algorithm does; otherwise, and for the fill-in search, the semi-naive
-route applies every operation.  A bounded memo sits in front of it: a
+the same rows.  In a power of one group (one binary, one unary and the
+basepoint operation, with a group's tables: ``_group_tables``, once per
+algebra), the group route closes the identity under right multiplication
+by the seeds, adding one generator at a time as Dimino's algorithm does;
+otherwise, and for the fill-in search, the semi-naive route applies every
+operation.  On a group, congruences need no closure in a power at all:
+``generate_congruence`` takes the cosets of a normal closure
+(``_normal_cosets``).  A bounded memo sits in front of it: a
 closure asked again with the same factor algebras (the same objects) and
 the same set of seed rows returns the rows of the first call, read-only.
 The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and a fixed
@@ -416,19 +418,54 @@ def generate_congruence(algebra: FinAlgebra,
                         pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing ``pairs``.
 
-    Worklist closure: merging two classes enqueues, for every operation and
-    argument position, the single-coordinate substitution consequences over
-    all contexts.  Multi-coordinate compatibility follows by chaining.
+    On a group (``_group_tables``), the cosets of the normal subgroup
+    generated by a⁻¹b over the pairs (``_normal_cosets``): a group's
+    congruences are the coset partitions of its normal subgroups, x ~ y
+    exactly when x⁻¹y lies in the basepoint block (Burris–Sankappanavar,
+    *A Course in Universal Algebra*, ch. II), so the least one holding
+    every a ~ b is that of the least normal subgroup holding every a⁻¹b.
+    Otherwise ``_congruence_worklist``.
     """
     n = algebra.size
-    root = np.arange(n, dtype=np.int64)
     queue: list[tuple[int, int]] = []
     for a, b in pairs:
         a, b = int(a), int(b)
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"pair ({a},{b}) out of range")
         queue.append((a, b))
+    group = _group_tables(algebra)
+    if group is None:
+        return _congruence_worklist(algebra, queue)
+    mul, inv = group
+    ends = np.asarray(queue, dtype=np.int64).reshape(-1, 2)
+    return _normal_cosets(algebra, mul, inv, mul[inv[ends[:, 0]], ends[:, 1]])
 
+
+def _normal_cosets(algebra: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
+                   gens: np.ndarray) -> Congruence:
+    """The congruence of a group whose blocks are the cosets x·N of the
+    normal closure N = <g s g⁻¹ : g in the group, s in ``gens``>, with
+    ``block_id[x]`` = min(x·N).  Cosets of a normal subgroup are
+    compatible with mul and inv, and the least member of each block is
+    its id, so the result is canonical and needs no re-check."""
+    g = np.arange(algebra.size)
+    s = _sorted_distinct(gens.ravel())
+    normal = generate_subuniverse(
+        algebra, mul[mul[g[:, None], s[None, :]], inv[g][:, None]].ravel())
+    block = mul[:, np.asarray(normal.members)].min(axis=1)
+    return Congruence._trusted(algebra, tuple(block.tolist()))
+
+
+def _congruence_worklist(algebra: FinAlgebra,
+                         queue: list[tuple[int, int]]) -> Congruence:
+    """``generate_congruence`` for any signature, from in-range pairs, and
+    the tests' reference for ``_normal_cosets``.
+
+    Worklist closure: merging two classes enqueues, for every operation and
+    argument position, the single-coordinate substitution consequences over
+    all contexts.  Multi-coordinate compatibility follows by chaining.
+    """
+    root = np.arange(algebra.size, dtype=np.int64)
     unary = [(op, algebra.tables[op]) for op, k in algebra.signature.ops if k == 1]
     wider = [(op, k, algebra.tables[op])
              for op, k in algebra.signature.ops if k >= 2]
@@ -638,9 +675,9 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     order; a row's key is its mixed-radix index, first coordinate first.
     Without derivations the array is read-only and may be the memo's,
     from an earlier call with the same factors and the same seed set.
-    ``_right_closure`` makes it when every factor has ``_group_tables`` and
-    no derivations are asked for, and ``_semi_naive`` otherwise, with each
-    row's first derivation if asked.
+    ``_right_closure`` makes it when the factors are one algebra with
+    ``_group_tables`` and no derivations are asked for, and ``_semi_naive``
+    otherwise, with each row's first derivation if asked.
     """
     for other in factors[1:]:
         _check_same_signature(factors[0], other)
@@ -660,23 +697,9 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     hit = _MEMO.get(memo_key, factors)
     if hit is not None:
         return hit
-    route = _right_closure if all(map(_group_tables, factors)) else _semi_naive
+    one = all(a is factors[0] for a in factors)
+    route = _right_closure if one and _group_tables(factors[0]) else _semi_naive
     return _MEMO.put(memo_key, factors, route(factors, digits, seed_keys))
-
-
-def _stacked_table(factors: Sequence[FinAlgebra], op: str):
-    """The table of the binary ``op`` for all the factors, and ``lift``:
-    when the factors differ, their tables are stacked along the first
-    argument, which factor j reads at offset lift[j]; otherwise ``lift``
-    is None."""
-    distinct = list({id(a): a for a in factors}.values())
-    if len(distinct) == 1:
-        return distinct[0].tables[op], None
-    nmax = max(a.size for a in factors)
-    table = np.zeros((len(distinct) * nmax, nmax), dtype=np.int64)
-    for d, a in enumerate(distinct):
-        table[d * nmax:d * nmax + a.size, :a.size] = a.tables[op]
-    return table, np.asarray([nmax * distinct.index(a) for a in factors])
 
 
 def _group_tables(algebra: FinAlgebra):
@@ -717,14 +740,13 @@ def _group_check(algebra: FinAlgebra):
 
 def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
                    seed_keys: np.ndarray) -> np.ndarray:
-    """Subgroup of a product of groups generated by the rows of
+    """Subgroup of a power of a group generated by the rows of
     ``seed_keys``: the identity closed under right multiplication by the
     seeds alone (a generator's inverse is one of its powers).  As in
     Dimino's algorithm, the next seed not yet found joins the generators
     and is multiplied onto every row so far, the new rows by every
     generator until none is new; each generator at least doubles them."""
-    mul, lift = _stacked_table(
-        factors, next(op for op, k in factors[0].signature.ops if k == 2))
+    mul, _ = _group_tables(factors[0])
     state = np.zeros(np.prod(digits[1]), np.uint8)
 
     def times(keys, gens):
@@ -735,8 +757,7 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
             return np.concatenate([times(keys[i:i + step], gens)
                                    for i in range(0, len(keys), step)])
         rows = keys[:, None] // digits[0] % digits[1]
-        prods = mul[(rows if lift is None else rows + lift)[:, None],
-                    gens] @ digits[0]
+        prods = mul[rows[:, None], gens] @ digits[0]
         prods = prods[state[prods] == 0]
         if len(gens) > 1 and len(prods) > 1:  # one right factor is injective
             prods = _sorted_distinct(prods)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb import commutators, core
+from commwb import commutators, core, sweeps
 from commwb.commutators import (WEIGHTED_STRATEGIES, CommutatorReport,
                                 WeightedCospan, commute_over, cooperator,
                                 higgins_binary, higgins_ternary, is_w_normal,
@@ -15,8 +15,10 @@ from commwb.core import (Congruence, FinAlgebra, Signature, Subuniverse,
                          generate_subuniverse, identity_hom, image_sub,
                          power_closure)
 from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
-from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
+from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
+                              symmetric_group)
 from conftest import brute_binary_commutator, is_diagonal
+from sweep_inputs import library_algebras
 
 
 def _sub(alg, *gens):
@@ -273,11 +275,23 @@ def test_smith_symmetry_and_meet_bound():
 
 
 def test_smith_refuses_an_oversized_matrix():
-    # the matrix algebra of Z90 lives in Z90^4, 65,610,000 rows
-    z90 = cyclic_group(90)
-    nabla = generate_congruence(z90, [(0, 1)])
+    # the matrix algebra of a 90-element chain lives in its fourth power,
+    # 65,610,000 rows; a chain is not a group, so it needs that matrix
+    chain = chain_hslat(90)
+    nabla = generate_congruence(chain, [(0, 89)])
     with pytest.raises(ValidationError, match="65,610,000 rows"):
-        smith(z90, nabla, nabla)
+        smith(chain, nabla, nabla)
+
+
+def test_smith_on_a_group_needs_no_matrix_above_order_64():
+    z90, d45 = cyclic_group(90), dihedral_group(45)
+    nabla = generate_congruence(z90, [(0, 1)])
+    assert is_diagonal(smith(z90, nabla, nabla))
+    # [D45, D45] is the rotations: two blocks
+    nabla = generate_congruence(d45, [(0, i) for i in range(90)])
+    assert nabla.num_blocks == 1
+    assert smith(d45, nabla, nabla).blocks() == (tuple(range(45)),
+                                                 tuple(range(45, 90)))
 
 
 def test_smith_with_diagonal_is_diagonal():
@@ -292,6 +306,52 @@ def test_normalise_is_the_basepoint_block():
     z12 = cyclic_group(12)
     theta = generate_congruence(z12, [(0, 4)])
     assert normalise(theta).members == (0, 4, 8)
+
+
+def _use_the_worklist(monkeypatch):
+    """Send the congruence generation of ``smith``'s fixpoint and of the
+    congruence sweep through the worklist, which every signature takes.
+    The closures keep their routes: masking the group check in ``core``
+    would also send the D^4 closures to the semi-naive engine, which the
+    tests of ``tests/test_core.py`` already compare with the group route,
+    at about fifty times the cost here."""
+    def worklist(algebra, pairs):
+        return core._congruence_worklist(
+            algebra, [(int(a), int(b)) for a, b in pairs])
+
+    monkeypatch.setattr(commutators, "generate_congruence", worklist)
+    monkeypatch.setattr(sweeps, "generate_congruence", worklist)
+
+
+def test_group_routes_match_the_worklist_and_the_fixpoint(monkeypatch, lib):
+    # on every congruence pair of every catalogue group
+    fast = {}
+    for key, D in library_algebras(lib, "groups"):
+        congs = congruences(D)
+        fast[key] = congs, [smith(D, R, S)
+                            for R, S in itertools.product(congs, repeat=2)]
+    assert len(fast) == 23
+    _use_the_worklist(monkeypatch)
+    for key, D in library_algebras(lib, "groups"):
+        congs, got = fast[key]
+        assert [t.block_id for t in congruences(D)] == \
+            [t.block_id for t in congs], key
+        for (R, S), theta in zip(itertools.product(congs, repeat=2), got):
+            Congruence(D, theta.block_id)  # canonical and compatible
+            want = commutators._smith_fixpoint(D, R, S)
+            assert theta.block_id == want.block_id, (key, R, S)
+
+
+def test_smith_is_huq_on_every_congruence_pair(lib):
+    # [R, S] is the congruence of [N_R, N_S], the joint-generation trace of
+    # the basepoint blocks in D^3; its cosets are found here by brute force
+    for key, D in library_algebras(lib, "groups"):
+        mul = D.tables["mul"].tolist()
+        for R, S in itertools.product(congruences(D), repeat=2):
+            H = higgins_binary(D, normalise(R), normalise(S)).members
+            cosets = Congruence.from_raw_ids(
+                D, [min(mul[x][h] for h in H) for x in range(D.size)])
+            assert smith(D, R, S).block_id == cosets.block_id, (key, R, S)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
 from conftest import (brute_generated_subgroup, brute_congruences,
                       naive_closure)
+from sweep_inputs import library_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,34 @@ def test_generate_congruence_yields_least_congruence_with_pair():
 def test_generate_congruence_empty_is_diagonal():
     z6 = cyclic_group(6)
     assert generate_congruence(z6, []).block_id == tuple(range(6))
+
+
+def test_generate_congruence_on_groups_matches_the_worklist(lib):
+    # 50 seeded pair lists per catalogue group, with [] and repeated pairs
+    for key, alg in library_algebras(lib, "groups"):
+        rng = np.random.default_rng(alg.size * 100 + len(key))
+        n = alg.size
+        lists = [[], [(n - 1, 0)] * 3 + [(0, n - 1), (n - 1, n - 1)]]
+        lists += [rng.integers(0, n, (rng.integers(1, 5), 2)).tolist()
+                  for _ in range(48)]
+        for pairs in lists:
+            got = generate_congruence(alg, pairs)
+            Congruence(alg, got.block_id)  # canonical and compatible
+            want = core._congruence_worklist(alg, [tuple(p) for p in pairs])
+            assert got.block_id == want.block_id, (key, pairs)
+
+
+@pytest.mark.parametrize("pair", [(0, 6), (-1, 0), (2, 99)])
+def test_generate_congruence_checks_pairs_before_either_route(monkeypatch,
+                                                               pair):
+    def refuse(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(core, "_normal_cosets", refuse)
+    monkeypatch.setattr(core, "_congruence_worklist", refuse)
+    for alg in (symmetric_group(3), chain_hslat(6)):
+        with pytest.raises(ValidationError, match="out of range"):
+            generate_congruence(alg, [(1, 2), pair])
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +509,23 @@ def test_group_route_matches_the_semi_naive_engine(lib, key):
         assert np.array_equal(fast, moved), (key, seeds)
 
 
-def test_group_route_over_different_groups_matches_the_semi_naive_engine():
+def test_closure_over_different_groups_takes_the_semi_naive_engine(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("took the group route")
+
+    monkeypatch.setattr(core, "_right_closure", refuse)
     d4, z3, s3 = dihedral_group(4), cyclic_group(3), symmetric_group(3)
     for seeds in ([(1, 1, 2)], [(4, 0, 3), (0, 2, 0)], [(5, 1, 1), (4, 2, 5)],
                   [], [(0, 0, 0)] * 2):
-        fast, slow = _both_routes((d4, z3, s3), seeds)
-        assert np.array_equal(fast, slow), seeds
+        got = core._closure((d4, z3, s3), np.asarray(seeds, dtype=np.int64)
+                            .reshape(-1, 3))
+        want = naive_closure((d4, z3, s3), seeds)
+        assert np.array_equal(got, want), seeds
+    # a power of two equal but distinct groups is not a power of one
+    other = cyclic_group(3)
+    assert core._closure((z3, other), np.asarray([[1, 1]])).tolist() == [
+        [0, 0], [1, 1], [2, 2]]
 
 
 # ---------------------------------------------------------------------------
