@@ -6,21 +6,45 @@ over three group factors is a kernel word when its three factor deletions
 so a word of length L is a kernel word exactly when ``w = p·q⁻¹`` with
 ``|p| = ⌈L/2⌉``, ``|q| = ⌊L/2⌋``, p and q reduced and ending in different
 factors (so the product is reduced as written), and ``del_i(p) = del_i(q)``
-for i = 0, 1, 2.  The search builds one table, the reduced half-words of up
-to ⌈B/2⌉ syllables, level by level in numpy, and self-joins it on that key.
+for i = 0, 1, 2.
 
-Each deletion word is packed into one int64, so appending a syllable (push,
-merge into the top, or cancel it) is a few shifts and masks.  Each level is
-sorted on a 64-bit hash of its three deletions, stored as the hash's high
-bits over the row index; the widest level keeps nothing else, and every hash
-match is verified on the full key.  Records come out lexicographically in
-(factor, element), a word before its extensions.
+The search stores the reduced half-words of up to K = ⌊(B-1)/2⌋ syllables
+for bound B, level by level in numpy.  Each deletion word is packed into
+one int64, so appending a syllable (push, merge into the top, or cancel
+it) is a few shifts and masks.  The half-words of ⌈B/2⌉ syllables are never
+built: p's last syllable is read off the keys instead.  Write p = p'·(f, x)
+with p' at level k = ⌈L/2⌉ - 1.  A reduced word is fixed by its f-peeled
+part (the word without a top f-syllable) and its top f-element (0 if
+none).  Appending (f, x) keeps the f-peeled part of every deletion,
+multiplies the top f-element by x, and leaves del_f alone.  So p and q have
+the same deletions exactly when p' and q have the same f-peeled
+deletions and ``x = t(p')⁻¹·t(q)`` for both deletions other than f, t
+being the top f-element.  The second of these follows from the first:
+killing every factor but f maps both deletions of p'·(f, x)·q⁻¹ to the
+same element of f, a conjugate of each one's middle f-element, so when
+one middle element is the identity, so is the other.
 
-The widest level has 3(n-1)(2(n-1))^(⌈B/2⌉-1) rows for three factors of
-order n; a search over ``MAX_HALF_WORDS`` is refused before anything is
-allocated.  The search also emits each record's start offset, which the
-returned buffer carries as ``starts``, so a caller folds all records at
-once without walking the buffer.
+* Odd L: q is at level k too, and the words are a self-join of level k.
+* Even L: q = q'·(g, y), and h is the third factor.  del_h(p) ends in f
+  unless x cancels in it, and del_h(q) ends in g unless y does, so at
+  least one side cancels.  The cancelling p come straight from level k:
+  x is the inverse of del_h(p')'s top f-element, at most two per (p', f).
+  Each joins level k on its g-peeled deletions, which gives y.  Its
+  inverse word q·p⁻¹ comes with it, unless q cancels too and finds p
+  itself.
+
+Each level is indexed once over (row, f) for every factor f its row does
+not end in, sorted on a 64-bit hash of the f-peeled deletions and f, with
+a directory of hash buckets for probing; every hash match is verified on
+the full key.  Both joins run in chunks of about ``_CHUNK`` queries and
+candidates.  Records come out lexicographically in (factor, element), a
+word before its extensions.
+
+Level K has 3(n-1)(2(n-1))^(K-1) rows for three factors of order n; a
+search over ``MAX_HALF_WORDS`` is refused before anything is allocated.
+The search also emits each record's start offset, which the returned
+buffer carries as ``starts``, so a caller folds all records at once
+without walking the buffer.
 
 Two facts spare most searches.  With a trivial factor, deleting it leaves
 every word as it is, so only the empty word lies in the kernel: the answer
@@ -49,11 +73,13 @@ __all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words"]
 # Syllable bound of the word oracle when the caller gives none.
 DEFAULT_WORD_BOUND = 12
 
-# Rows allowed in the widest half-word level: 8 bytes each, plus transient
-# join buffers of about twice that.
-MAX_HALF_WORDS = 50_000_000
+# Rows allowed in the deepest stored half-word level, of ⌊(B-1)/2⌋
+# syllables: about 145 bytes each at the search's peak (the level, its
+# index and the index's sort), so about 1.2 GB at the limit, before the
+# records of the words found.
+MAX_HALF_WORDS = 8_000_000
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 _MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                                      0x165667B19E3779F9, 0xFF51AFD7ED558CCD))
 
@@ -68,66 +94,63 @@ class _Tables(NamedTuple):
 class _Level(NamedTuple):
     offsets: np.ndarray  # row offsets of the three last-factor blocks
     parents: tuple       # per block: parent rows, one per run of elements
-    stacks: np.ndarray | None  # (3, rows) packed deletions, if kept
-    keys: np.ndarray     # sorted: hash high bits | row index
-    ibits: int           # low bits of ``keys`` holding the row index
+    stacks: np.ndarray   # (3, rows) packed deletions
 
 
-def _append(tab: _Tables, stacks, f: int, x):
-    """Packed deletions after appending syllable (f, x); broadcasts."""
+def _peel(tab: _Tables, stacks, f):
+    """Packed deletions without their top syllable if it lies in factor f,
+    and that syllable's element (0 if none); broadcasts."""
     width = tab.xbits + 2
-    mask = (1 << width) - 1
-    out = []
-    for d in range(3):
-        s = stacks[d]
-        if d == f:
-            out.append(np.broadcast_to(s, np.broadcast_shapes(s.shape,
-                                                              np.shape(x))))
-            continue
-        top = s & mask
-        same = (top >> tab.xbits) == f + 1
-        base = np.where(same, s >> width, s)
-        elem = np.where(same, tab.mul[f, top & ((1 << tab.xbits) - 1), x], x)
-        code = ((f + 1) << tab.xbits) | elem
-        out.append(np.where(elem == 0, base, (base << width) | code))
-    return out
+    top = stacks & ((1 << width) - 1)
+    on = (top >> tab.xbits) == f + 1
+    return (np.where(on, stacks >> width, stacks),
+            np.where(on, top & ((1 << tab.xbits) - 1), 0))
 
 
-def _hash(stacks) -> np.ndarray:
+def _append(tab: _Tables, stacks, f, x):
+    """Packed deletions after appending syllable (f, x); broadcasts."""
+    base, top = _peel(tab, stacks, f)
+    y = tab.mul[f, top, x]
+    out = np.where(y == 0, base,
+                   (base << tab.xbits + 2) | ((f + 1) << tab.xbits) | y)
+    d = np.arange(3).reshape((3,) + (1,) * (out.ndim - 1))
+    return np.where(d == f, stacks, out)
+
+
+def _hash(stacks, f) -> np.ndarray:
     h = sum(np.asarray(s, dtype=np.uint64) * c for s, c in zip(stacks, _MIX))
+    h += np.asarray(f, dtype=np.uint64)
     h ^= h >> np.uint64(31)
     h *= _MIX[3]
     return h ^ (h >> np.uint64(29))
 
 
-def _grow(tab: _Tables, prev: _Level, keep: bool) -> _Level:
-    """All one-syllable extensions of ``prev``, blocked by the new factor."""
-    last = _last(prev, np.arange(prev.stacks.shape[1]))
-    parents = tuple(np.flatnonzero(last != f) for f in range(3))
+def _grow(tab: _Tables, prev: _Level, parents: tuple) -> _Level:
+    """All one-syllable extensions of ``prev``, blocked by the new factor;
+    ``parents[f]`` are the rows of ``prev`` that do not end in f."""
     sizes = [len(parents[f]) * int(tab.ns[f] - 1) for f in range(3)]
     offsets = np.cumsum([0] + sizes)
-    ibits = max(1, int(offsets[-1]).bit_length())
-    high = ~np.uint64((1 << ibits) - 1)
-    keys = np.empty(offsets[-1], dtype=np.uint64)
-    stacks = np.empty((3, offsets[-1]), dtype=np.int64) if keep else None
+    stacks = np.empty((3, offsets[-1]), dtype=np.int64)
     for f in range(3):
         w = int(tab.ns[f] - 1)
-        xs = np.arange(1, w + 1, dtype=np.int64)[None, :]
+        xs = np.arange(1, w + 1, dtype=np.int64)
         step = max(1, _CHUNK // max(w, 1))
         for lo in range(0, len(parents[f]), step):
             par = parents[f][lo:lo + step]
-            new = _append(tab, prev.stacks[:, par][:, :, None], f, xs)
             start = int(offsets[f]) + lo * w
-            rows = np.arange(start, start + len(par) * w, dtype=np.uint64)
-            keys[rows] = (_hash(new).ravel() & high) | rows
-            if keep:
-                stacks[:, rows] = [d.ravel() for d in new]
-    keys.sort()
-    return _Level(offsets, parents, stacks, keys, ibits)
+            stacks[:, start:start + len(par) * w] = _append(
+                tab, prev.stacks[:, par, None], f, xs).reshape(3, -1)
+    return _Level(offsets, parents, stacks)
 
 
 def _last(lev: _Level, rows: np.ndarray) -> np.ndarray:
     return np.searchsorted(lev.offsets, rows, side="right") - 1
+
+
+def _not_ending_in(lev: _Level) -> tuple:
+    """Per factor f, the rows of a level that do not end in f."""
+    last = _last(lev, np.arange(lev.stacks.shape[1]))
+    return tuple(np.flatnonzero(last != f) for f in range(3))
 
 
 def _decode(tab: _Tables, lev: _Level, rows: np.ndarray):
@@ -142,18 +165,6 @@ def _decode(tab: _Tables, lev: _Level, rows: np.ndarray):
     return parent, f, local % w + 1
 
 
-def _stacks(tab: _Tables, levels: list, k: int, rows: np.ndarray):
-    if levels[k].stacks is not None:
-        return levels[k].stacks[:, rows]
-    parent, f, x = _decode(tab, levels[k], rows)
-    out = np.empty((3, len(rows)), dtype=np.int64)
-    for g in range(3):
-        sel = f == g
-        out[:, sel] = _append(tab, levels[k - 1].stacks[:, parent[sel]], g,
-                              x[sel])
-    return out
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + c) over the pairs (s, c)."""
     ends = np.cumsum(counts)
@@ -161,26 +172,67 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         if len(counts) else np.zeros(0, dtype=np.int64)
 
 
-def _hash_matches(levels: list, a: int, b: int):
-    """Rows (i at level a, j at level b) whose key hashes agree, a >= b."""
-    keys, ibits = levels[a].keys, levels[a].ibits
-    low = np.uint64((1 << ibits) - 1)
-    if a == b:
-        # runs of equal hash, found without a full-width index array
-        dup = np.flatnonzero((keys[1:] ^ keys[:-1]) <= low)
-        first = np.r_[True, np.diff(dup) != 1] if len(dup) else dup > 0
-        starts = dup[first]
-        counts = np.diff(np.r_[np.flatnonzero(first), len(dup)]) + 1
-        pos = _ranges(starts, counts)
-        lo, cnt = np.repeat(starts, counts), np.repeat(counts, counts)
-        j = (keys[pos] & low).astype(np.int64)
-    else:
-        top = _hash(levels[b].stacks) & ~low
-        j = np.argsort(top)     # sorted queries keep the bisection local
-        lo = np.searchsorted(keys, top[j], side="left")
-        cnt = np.searchsorted(keys, top[j] | low, side="right") - lo
-    i = (keys[_ranges(lo, cnt)] & low).astype(np.int64)
-    return i, np.repeat(j, cnt)
+class _Index(NamedTuple):
+    hashes: np.ndarray   # sorted hashes of the entries' peeled deletions
+    ids: np.ndarray      # the entries, row·3 + peeled factor, in that order
+    bounds: np.ndarray   # where each bucket (hash >> shift) starts, and ends
+    shift: np.uint64
+
+
+def _index(tab: _Tables, lev: _Level, parents: tuple):
+    """The index of a level over every (row, f) whose row does not end in
+    f, on the row's f-peeled deletions, and its cancelling rows, as
+    (row·3 + f)·3 + h: those where the top f-element of del_h(row) has an
+    inverse x, so that del_h(row·(f, x)) does not end in f."""
+    ids = np.concatenate([p * 3 + f for f, p in enumerate(parents)])
+    hs = np.empty(len(ids), dtype=np.uint64)
+    cancel = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(ids), _CHUNK):
+        e = ids[lo:lo + _CHUNK]
+        keys, tops = _peel(tab, lev.stacks[:, e // 3], e % 3)
+        hs[lo:lo + _CHUNK] = _hash(keys, e % 3)
+        # del_f(row) has no f-syllable, so every nonzero top has h != f
+        h, i = np.nonzero(tops)
+        cancel.append(e[i] * 3 + h)
+    order = np.argsort(hs)
+    hs = hs[order]
+    ids = ids[order]
+    del order
+    # about one entry per bucket of equal high hash bits
+    bits = max(len(ids).bit_length() - 1, 1)
+    shift = np.uint64(64 - bits)
+    bounds = np.zeros((1 << bits) + 1, dtype=np.intp)
+    np.cumsum(np.bincount((hs >> shift).astype(np.intp), minlength=1 << bits),
+              out=bounds[1:])
+    return _Index(hs, ids, bounds, shift), np.concatenate(cancel)
+
+
+def _join(tab: _Tables, lev: _Level, index: _Index, f, keys, tops, qh):
+    """Matches of queries against the index entries: the query's f-peeled
+    deletions ``keys``, of hash ``qh``, equal the entry row's, and z = t⁻¹·u
+    is not the identity, where t and u are the top f-elements of the query
+    and the row in one deletion other than f (the other one agrees, as the
+    module docstring shows).  Yields (query, row, z) in chunks of about
+    ``_CHUNK`` candidates."""
+    bucket = (qh >> index.shift).astype(np.intp)
+    lo = index.bounds[bucket]
+    cnt = index.bounds[bucket + 1] - lo
+    if not len(cnt):
+        return
+    ends = np.cumsum(cnt)
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK), "right")
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cnt)]):
+        q = np.repeat(np.arange(a, b), cnt[a:b])
+        pos = _ranges(lo[a:b], cnt[a:b])
+        hit = index.hashes[pos] == qh[q]
+        q, e = q[hit], index.ids[pos[hit]]
+        row, g = e // 3, e % 3
+        peeled, u = _peel(tab, lev.stacks[:, row], g)
+        ok = (g == f[q]) & (peeled == keys[:, q]).all(0)
+        q, row, g, u = q[ok], row[ok], g[ok], u[:, ok]
+        d = (g + 1) % 3
+        z = tab.mul[g, tab.inv[g, tops[d, q]], u[d, np.arange(len(q))]]
+        yield q[z != 0], row[z != 0], z[z != 0]
 
 
 def _syllables(tab: _Tables, levels: list, k: int, rows: np.ndarray):
@@ -188,6 +240,70 @@ def _syllables(tab: _Tables, levels: list, k: int, rows: np.ndarray):
     for t in range(k, 0, -1):
         rows, fs[:, t - 1], xs[:, t - 1] = _decode(tab, levels[t], rows)
     return fs, xs
+
+
+def _records(tab: _Tables, levels: list, k: int, max_len: int,
+             left: np.ndarray, middle: list, right: np.ndarray,
+             inverse=None) -> np.ndarray:
+    """Padded records of the words u·s·v⁻¹: u and v are level-k rows, s the
+    syllables in ``middle``, one (factor, element) pair of arrays each;
+    then those of the inverse words the mask ``inverse`` selects."""
+    fl, xl = _syllables(tab, levels, k, left)
+    fr, xr = _syllables(tab, levels, k, right)
+    fs = np.hstack([fl] + [f[:, None] for f, _ in middle] + [fr[:, ::-1]])
+    xs = np.hstack([xl] + [x[:, None] for _, x in middle]
+                   + [tab.inv[fr, xr][:, ::-1]])
+    if inverse is not None:
+        fi, xi = fs[inverse], xs[inverse]
+        fs = np.vstack([fs, fi[:, ::-1]])
+        xs = np.vstack([xs, tab.inv[fi, xi][:, ::-1]])
+    length = fs.shape[1]
+    rec = np.zeros((len(fs), 1 + 2 * max_len), dtype=np.int64)
+    rec[:, 0] = length
+    rec[:, 1:1 + 2 * length:2] = fs
+    rec[:, 2:2 + 2 * length:2] = xs
+    return rec
+
+
+def _odd_words(tab: _Tables, levels: list, k: int, index: _Index,
+               max_len: int):
+    """Records of the words p'·(f, x)·q⁻¹ of 2k + 1 syllables: pairs of
+    level-k entries whose f-peeled deletions agree, so only entries that
+    share their hash can match."""
+    lev, hs = levels[k], index.hashes
+    same = hs[1:] == hs[:-1]
+    twins = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    for a in range(0, len(twins), _CHUNK):
+        e = index.ids[twins[a:a + _CHUNK]]
+        r, f = e // 3, e % 3
+        keys, tops = _peel(tab, lev.stacks[:, r], f)
+        for q, row, x in _join(tab, lev, index, f, keys, tops,
+                               hs[twins[a:a + _CHUNK]]):
+            yield _records(tab, levels, k, max_len, r[q], [(f[q], x)], row)
+
+
+def _even_words(tab: _Tables, levels: list, k: int, index: _Index, cancel,
+                max_len: int):
+    """Records of the words p·q⁻¹ of 2k + 2 syllables, p = p'·(f, x) and
+    q = q'·(g, y) with p' and q' at level k and p a cancelling row: each
+    joins the level on its g-peeled deletions, which gives y.  The inverse
+    word q·p⁻¹ comes with it unless q cancels too, and so finds p
+    itself."""
+    lev = levels[k]
+    for a in range(0, len(cancel), _CHUNK):
+        e, h = np.divmod(cancel[a:a + _CHUNK], 3)
+        r, f = np.divmod(e, 3)
+        g = 3 - f - h
+        m = np.arange(len(e))
+        stacks = lev.stacks[:, r]
+        x = tab.inv[f, _peel(tab, stacks, f)[1][h, m]]
+        keys, tops = _peel(tab, _append(tab, stacks, f, x), g)
+        # q cancels in del_h exactly when del_h(p) does not end in g
+        inverse = tops[h, m] != 0
+        for q, row, z in _join(tab, lev, index, g, keys, tops,
+                               _hash(keys, g)):
+            yield _records(tab, levels, k, max_len, r[q],
+                           [(f[q], x[q]), (g[q], z)], row, inverse[q])
 
 
 def _widest_level(ns, half: int) -> int:
@@ -198,28 +314,29 @@ def _widest_level(ns, half: int) -> int:
     return sum(ends) if half else 1
 
 
-def _search(tab: _Tables, max_len: int) -> np.ndarray:
-    """Flat record buffer, lexicographically ordered."""
-    half = (max_len + 1) // 2
+def _kernel_records(tab: _Tables, max_len: int):
+    """Padded records of every kernel word of 2 to ``max_len`` syllables,
+    in batches; the levels and indexes go when the batches are done."""
+    top = (max_len - 1) // 2
     # the empty word; all three blocks empty, so its last factor reads as 3
     levels = [_Level(np.zeros(4, dtype=np.int64), (),
-                     np.zeros((3, 1), dtype=np.int64), None, 0)]
-    for k in range(1, half + 1):
-        levels.append(_grow(tab, levels[-1], keep=k < half))
-    found = []
-    for length in range(2, max_len + 1):
-        a, b = (length + 1) // 2, length // 2
-        i, j = _hash_matches(levels, a, b)
-        ok = (_stacks(tab, levels, a, i) == _stacks(tab, levels, b, j)).all(0)
-        ok &= _last(levels[a], i) != _last(levels[b], j)
-        fp, xp = _syllables(tab, levels, a, i[ok])
-        fq, xq = _syllables(tab, levels, b, j[ok])
-        rec = np.zeros((len(fp), 1 + 2 * max_len), dtype=np.int64)
-        rec[:, 0] = length
-        rec[:, 1:1 + 2 * length:2] = np.hstack([fp, fq[:, ::-1]])
-        rec[:, 2:2 + 2 * length:2] = np.hstack([xp, tab.inv[fq, xq][:, ::-1]])
-        found.append(rec)
-    return _flatten(np.concatenate(found))
+                     np.zeros((3, 1), dtype=np.int64))]
+    yield np.zeros((0, 1 + 2 * max_len), dtype=np.int64)
+    for k in range(top + 1):
+        lev = levels[k]
+        parents = _not_ending_in(lev)
+        if k < top:
+            levels.append(_grow(tab, lev, parents))
+        index, cancel = _index(tab, lev, parents)
+        if k:
+            yield from _odd_words(tab, levels, k, index, max_len)
+        if 2 * k + 2 <= max_len:
+            yield from _even_words(tab, levels, k, index, cancel, max_len)
+
+
+def _search(tab: _Tables, max_len: int) -> np.ndarray:
+    """Flat record buffer, lexicographically ordered."""
+    return _flatten(np.concatenate(list(_kernel_records(tab, max_len))))
 
 
 class _Records(np.ndarray):
@@ -295,8 +412,9 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     Record format: length L followed by L (factor, local element) pairs.
     The buffer's ``starts`` holds the offset of each record.  With a
     trivial factor the answer is the shared empty buffer, found without a
-    search.  Otherwise raises ``ValidationError`` when the half-word table
-    would exceed ``MAX_HALF_WORDS`` rows.
+    search.  Otherwise raises ``ValidationError`` when the deepest stored
+    half-word level would exceed ``MAX_HALF_WORDS`` rows, or a deletion
+    word would not fit a 64-bit key.
     """
     tabs, sizes = zip(*(_local_group_tables(s) for s in subs))
     max_len = int(max_len)
@@ -323,12 +441,12 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
 def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
     """The padded tables of a search, once its size is known to fit."""
     half = (max_len + 1) // 2
-    rows = _widest_level(sizes, half)
+    rows = _widest_level(sizes, half - 1)
     if rows > MAX_HALF_WORDS:
         raise ValidationError(
-            f"word oracle at bound {max_len} needs {rows:,} half-words over"
-            f" factors of orders {sizes}, above the limit of"
-            f" {MAX_HALF_WORDS:,}; lower the word bound")
+            f"word oracle at bound {max_len} needs {rows:,} half-words of"
+            f" {half - 1} syllables over factors of orders {sizes}, above the"
+            f" limit of {MAX_HALF_WORDS:,}; lower the word bound")
     nmax = max(sizes)
     xbits = (nmax - 1).bit_length()
     if (xbits + 2) * half > 63:

@@ -150,14 +150,15 @@ def test_weighted_takes_no_word_bound(capsys):
 
 
 def test_word_oracle_refuses_an_oversized_search(capsys):
-    # Z16^3 at bound 12 needs about 1.1e9 half-words; the size is checked
-    # from the factor orders before anything is allocated
+    # Z16^3 at bound 12 stores half-words of up to 5 syllables, 36,450,000
+    # of them at the deepest level; the size is checked from the factor
+    # orders before anything is allocated
     code, out, err = _run(capsys, "commutator", "ternary", "--algebra",
                           "Z16", "--sub", "1", "--sub", "1", "--sub", "1",
                           "--strategy", "word-oracle", "--word-bound", "12")
     assert code == 2
     assert out == ""
-    assert "bound 12 needs 1,093,500,000 half-words" in err
+    assert "bound 12 needs 36,450,000 half-words of 5 syllables" in err
     # few rows, but deletion words of 22 syllables overflow the packed key
     code, out, err = _run(capsys, "commutator", "ternary", "--algebra",
                           "Z2", "--sub", "1", "--sub", "1", "--sub", "1",

@@ -193,6 +193,20 @@ def test_ternary_word_oracle_always_inside_group_fast():
         assert oracle.result.issubset(fast.result)
 
 
+def test_word_oracle_equals_group_fast_on_every_subgroup_triple(lib):
+    # both routes are lower bounds by construction, and group-fast reports
+    # complete: an oracle value outside it would disprove that claim; at
+    # bound 10 the two are equal on every triple of these groups
+    for key, alg in library_algebras(lib, "groups", 12):
+        for K, L, M in itertools.combinations_with_replacement(
+                subgroups(alg), 3):
+            fast = higgins_ternary(alg, K, L, M, "group-fast")
+            oracle = higgins_ternary(alg, K, L, M, "word-oracle",
+                                     word_bound=10)
+            assert oracle.result.members == fast.result.members, \
+                (key, K.members, L.members, M.members)
+
+
 def test_ternary_term_depth_lower_bounds(lib):
     c3 = lib.algebra("chain3")
     full = Subuniverse(c3, (0, 1, 2))

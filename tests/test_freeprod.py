@@ -231,6 +231,31 @@ def test_engine_counts_frozen_across_bounds():
         ternary_kernel_words((full8, full8, full8), max_len=10))) == 10290
 
 
+# Up to bound 10 every kernel word of these triples has exactly 10
+# syllables.  Bound 11 adds words of odd length, one syllable read off the
+# keys; bound 12 adds words of 12, one read off on each side.
+@pytest.mark.parametrize("bound, count, longest", [(11, 350, 200),
+                                                   (12, 940, 590)])
+def test_engine_agrees_with_definitional_enumerator_above_bound_10(
+        bound, count, longest):
+    _, subs = _c2_c2_s3()
+    factors = tuple(s.as_algebra() for s in subs)
+    fast = _record_pairs(ternary_kernel_words(subs, max_len=bound))
+    assert len(fast) == count
+    assert sum(len(w) == bound for w in fast) == longest
+    assert set(fast) | {()} == {
+        w.syllables for w in cosmash_kernel_words(factors, bound)}
+
+
+def test_engine_counts_frozen_at_bounds_11_and_12():
+    z4, s3 = cyclic_group(4), symmetric_group(3)
+    for sub, counts in ((Subuniverse(z4, range(4)), (2430, 6804)),
+                        (Subuniverse(s3, range(6)), (18_750, 55_500))):
+        for bound, count in zip((11, 12), counts):
+            words = ternary_kernel_words((sub,) * 3, bound)
+            assert len(words.starts) == count
+
+
 def test_word_cache_drops_its_oldest_records(monkeypatch):
     _, (c2, _, full) = _c2_c2_s3()
     triples = [(c2, c2, full), (full, c2, c2), (c2, full, c2)]
@@ -267,6 +292,21 @@ def _fresh_search(subs, bound):
 def _same_buffer(got, want):
     return got.tobytes() == want.tobytes() and got.dtype == want.dtype \
         and got.starts.tobytes() == want.starts.tobytes()
+
+
+def test_a_search_whose_hashes_all_collide_finds_the_same_words(monkeypatch):
+    # every hash match is verified on the full key, its factor included,
+    # so a hash that sends every entry to one bucket changes nothing
+    s3, (c2, _, full) = _c2_c2_s3()
+    c3 = Subuniverse(s3, (0, 3, 4))
+    cases = [((c2, c2, full), 10), ((c2, c2, full), 11), ((c2, c2, c3), 11),
+             ((c3, c3, c3), 10)]
+    want = [_fresh_search(subs, bound) for subs, bound in cases]
+    assert all(len(w) for w in want)
+    monkeypatch.setattr(kernel_search, "_hash", lambda stacks, f: np.zeros(
+        np.shape(f), dtype=np.uint64))
+    for (subs, bound), buf in zip(cases, want):
+        assert _same_buffer(_fresh_search(subs, bound), buf)
 
 
 @pytest.fixture
@@ -387,11 +427,12 @@ def test_a_trivial_factor_gives_no_words_without_a_search(counted_searches):
     d8 = dihedral_group(8)
     one, full = Subuniverse(d8, (0,)), Subuniverse(d8, range(16))
     two = next(s for s in subgroups(d8) if len(s) == 2)
-    # a search would need 341,718,750 half-words, over the limit; with an
-    # order-2 factor in place of the trivial one it is still refused
-    assert kernel_search._widest_level((1, 16, 16), 7) == 341_718_750 \
+    # a search would store 22,781,250 half-words of 6 syllables, over the
+    # limit; with an order-2 factor in place of the trivial one it is
+    # still refused
+    assert kernel_search._widest_level((1, 16, 16), 6) == 22_781_250 \
         > kernel_search.MAX_HALF_WORDS
-    with pytest.raises(ValidationError, match="681,237,000 half-words"):
+    with pytest.raises(ValidationError, match="40,581,000 half-words"):
         ternary_kernel_words((two, full, full), 14)
     for subs in itertools.permutations((one, full, full)):
         words = ternary_kernel_words(subs, 14)
