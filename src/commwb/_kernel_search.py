@@ -306,10 +306,15 @@ def _even_words(tab: _Tables, levels: list, k: int, index: _Index, cancel,
                            [(f[q], x[q]), (g[q], z)], row, inverse[q])
 
 
-def _widest_level(ns, half: int) -> int:
-    """Exact row count of the half-words with ``half`` syllables."""
+def _widest_level(ns, half: int) -> int | None:
+    """Exact row count of the half-words with ``half`` syllables, or None
+    once a shorter level has more than ``MAX_HALF_WORDS``.  The counts
+    never fall from one level to the next with two nontrivial factors,
+    and with fewer they stay below the order of a factor."""
     ends = [int(n) - 1 for n in ns]     # words of length 1 ending in f
     for _ in range(half - 1):
+        if sum(ends) > MAX_HALF_WORDS:
+            return None
         ends = [(int(n) - 1) * (sum(ends) - e) for n, e in zip(ns, ends)]
     return sum(ends) if half else 1
 
@@ -442,9 +447,10 @@ def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
     """The padded tables of a search, once its size is known to fit."""
     half = (max_len + 1) // 2
     rows = _widest_level(sizes, half - 1)
-    if rows > MAX_HALF_WORDS:
+    if rows is None or rows > MAX_HALF_WORDS:
+        many = f"more than {MAX_HALF_WORDS:,}" if rows is None else f"{rows:,}"
         raise ValidationError(
-            f"word oracle at bound {max_len} needs {rows:,} half-words of"
+            f"word oracle at bound {max_len} needs {many} half-words of"
             f" {half - 1} syllables over factors of orders {sizes}, above the"
             f" limit of {MAX_HALF_WORDS:,}; lower the word bound")
     nmax = max(sizes)

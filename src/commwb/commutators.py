@@ -1,7 +1,7 @@
 """Commutator calculus over finite pointed algebras.
 
-Everything here is driven by one construction: for subuniverses K, L of an
-algebra D, the joint-generation subalgebra
+For any signature, everything here is driven by one construction: for
+subuniverses K, L of an algebra D, the joint-generation subalgebra
 
     S  =  < (k, 0, k) : k in K >  ∪  < (0, l, l) : l in L >    inside  K x L x D.
 
@@ -16,6 +16,14 @@ so S answers both central questions at once:
 * the binary commutator [K, L]: the trace {d : (0, 0, d) in S}, i.e. the
   image in D of the kernel of K+L -> KxL, which vanishes exactly when the
   cooperator exists.
+
+On a group (``core._group_tables``) both are read off commutators
+instead, and S is never built: there the trace is the subgroup
+[K, L] = <[k, l]> (Mantovani–Metere, *Normalities and commutators*,
+J. Algebra 324, 2010), and S, a subgroup over all of K x L whose kernel
+over K x L is that trace, has the coset k·l·[K, L] above each (k, l).
+The trace stays the route for every other signature and the tests'
+reference for the group route.
 
 On top of the binary case the module provides ternary commutators (three
 strategies of different strength), the Smith commutator of congruences
@@ -166,7 +174,8 @@ def _triple_trace(D: FinAlgebra, K: Subuniverse, L: Subuniverse) -> np.ndarray:
     """Joint-generation subalgebra of D^3 as a (count, 3) row array.
 
     Rows are the triples (t(k,0), t(0,l), t(k,l)); closure stays inside
-    K x L x D because K and L are closed componentwise.
+    K x L x D because K and L are closed componentwise.  Not built on a
+    group, where the tests keep it as the reference.
     """
     bp = D.basepoint
     seeds = [(int(k), bp, int(k)) for k in K.members]
@@ -201,9 +210,25 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     single-valued: no cooperator, and ``conflict`` holds two clashing
     triples.  Single-valued but not total: the carrier is not
     congruence-permutable at this instance, reported as an error.
+
+    On a group, the cooperator exists exactly when [K, L] is trivial.
+    Otherwise the conflict is the trace's first clash, read off the
+    cosets: the rows above (k, l) are k·l·[K, L], each of at least two
+    elements, so in key order it lies above the least k and l, between
+    the two least members of their coset.
     """
     _require_sub_of(D, K, "K")
     _require_sub_of(D, L, "L")
+    group = _group_tables(D)
+    if group is not None:
+        mul, inv = group
+        commutator = _group_commutator(D, mul, inv, K, L)
+        if commutator.is_zero():
+            return CooperatorOutcome(commutator)
+        k, l = K.members[0], L.members[0]
+        v = np.sort(mul[mul[k, l], np.asarray(commutator.members)])
+        return CooperatorOutcome(
+            commutator, ((k, l, int(v[0])), (k, l, int(v[1]))))
     pts = _triple_trace(D, K, L)
     commutator = _binary_commutator(D, pts)
     n = D.size
@@ -228,10 +253,15 @@ def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
                    ) -> Subuniverse:
     """Binary commutator [K, L]: trace {d : (0, 0, d)} of joint generation.
 
-    Trivial exactly when the cooperator of K and L exists.
+    On a group, the subgroup generated by the commutators [k, l], which
+    is that trace (Mantovani–Metere 2010).  Trivial exactly when the
+    cooperator of K and L exists.
     """
     _require_sub_of(D, K, "K")
     _require_sub_of(D, L, "L")
+    group = _group_tables(D)
+    if group is not None:
+        return _group_commutator(D, *group, K, L)
     return _binary_commutator(D, _triple_trace(D, K, L))
 
 
@@ -247,13 +277,25 @@ def _resolve_ternary_strategy(D: FinAlgebra, strategy: str | None) -> str:
     return "group-fast" if _group_tables(D) is not None else "term-depth"
 
 
+def _bracket(mul: np.ndarray, inv: np.ndarray, a: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """The group commutators [a, b] = a·b·a⁻¹·b⁻¹, broadcast over a and b."""
+    return mul[mul[mul[a, b], inv[a]], inv[b]]
+
+
+def _group_commutator(D: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
+                      K: Subuniverse, L: Subuniverse) -> Subuniverse:
+    """[K, L] of two subgroups: the subgroup generated by every [k, l]."""
+    grid = _bracket(mul, inv, np.asarray(K.members)[:, None],
+                    np.asarray(L.members)[None, :])
+    return generate_subuniverse(D, _sorted_distinct(grid.ravel()))
+
+
 def _double_bracket_grid(mul: np.ndarray, inv: np.ndarray, A: np.ndarray,
                          B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Grid of [[a, b], c] over A x B x C (group commutator twice)."""
-    ab = mul[mul[mul[A[:, None], B[None, :]], inv[A][:, None]],
-             inv[B][None, :]]
-    return mul[mul[mul[ab[:, :, None], C[None, None, :]],
-                   inv[ab][:, :, None]], inv[C][None, None, :]]
+    ab = _bracket(mul, inv, A[:, None], B[None, :])
+    return _bracket(mul, inv, ab[:, :, None], C[None, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +303,24 @@ def _double_bracket_grid(mul: np.ndarray, inv: np.ndarray, A: np.ndarray,
 
 
 def _ternary_group_fast(D, mul, inv, K, L, M) -> CommutatorReport:
+    """The normal closure, in the join of K, L and M, of the three
+    double-bracket grids.  When every double bracket is the identity the
+    closure is trivial, and it is answered before the join is built."""
     Km = np.asarray(K.members, dtype=np.int64)
     Lm = np.asarray(L.members, dtype=np.int64)
     Mm = np.asarray(M.members, dtype=np.int64)
     bp = D.basepoint
+    shapes = ((Km, Lm, Mm, "[[K,L],M]"), (Lm, Mm, Km, "[[L,M],K]"),
+              (Mm, Km, Lm, "[[M,K],L]"))
+    grids = [_double_bracket_grid(mul, inv, A, B, C) for A, B, C, _ in shapes]
+    if all((grid == bp).all() for grid in grids):
+        return CommutatorReport(Subuniverse._trusted(D, (bp,)), "group-fast",
+                                complete=True)
     join = generate_subuniverse(
         D, set(K.members) | set(L.members) | set(M.members))
     seeds: set[int] = {bp}
     witnesses = []
-    shapes = ((Km, Lm, Mm, "[[K,L],M]"), (Lm, Mm, Km, "[[L,M],K]"),
-              (Mm, Km, Lm, "[[M,K],L]"))
-    for A, B, C, shape in shapes:
-        grid = _double_bracket_grid(mul, inv, A, B, C)
+    for (A, B, C, shape), grid in zip(shapes, grids):
         seeds.update(_sorted_distinct(grid.ravel()).tolist())
         if len(witnesses) < _WITNESS_CAP:
             for ia, ib, ic in np.argwhere(grid != bp)[:_WITNESS_CAP]:
@@ -457,7 +505,7 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
     mul, inv = group
     m = np.asarray(normalise(R).members)[:, None]
     n = np.asarray(normalise(S).members)[None, :]
-    return _normal_cosets(D, mul, inv, mul[mul[mul[m, n], inv[m]], inv[n]])
+    return _normal_cosets(D, mul, inv, _bracket(mul, inv, m, n))
 
 
 def _smith_fixpoint(D: FinAlgebra, R: Congruence, S: Congruence
@@ -506,10 +554,24 @@ def _require_into(D: FinAlgebra, h: Hom, role: str) -> None:
         raise ValidationError(f"{role} must land in the carrier")
 
 
+def _conjugates_inside(group, W: Subuniverse, X: Subuniverse) -> bool:
+    """On a group, whether every w·x·w⁻¹ lies in X: [w, x] lies in the
+    subgroup X exactly when w·x·w⁻¹ does, so this is [W, X] ⊆ X."""
+    mul, inv = group
+    w, x = np.asarray(W.members)[:, None], np.asarray(X.members)
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[x] = True
+    return bool(inside[mul[mul[w, x], inv[w]]].all())
+
+
 def is_w_normal(D: FinAlgebra, X: Subuniverse, w: Hom) -> bool:
-    """Whether the image of w normalises X: [Im w, X] contained in X."""
+    """Whether the image of w normalises X: [Im w, X] contained in X.
+    On a group, checked on the conjugates w·x·w⁻¹ without a closure."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
+    group = _group_tables(D)
+    if group is not None:
+        return _conjugates_inside(group, image_sub(w), X)
     return higgins_binary(D, image_sub(w), X).issubset(X)
 
 
@@ -517,10 +579,13 @@ def w_normal_closure(D: FinAlgebra, X: Subuniverse, w: Hom) -> Subuniverse:
     """Least subuniverse above X that the image of w normalises:
     the join of [Im w, X] and X.  Verified w-normal before returning;
     when [Im w, X] already lies in X, the closure is X and that inclusion
-    is the verification."""
+    is the verification (on a group, checked on the conjugates first)."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
     W = image_sub(w)
+    group = _group_tables(D)
+    if group is not None and _conjugates_inside(group, W, X):
+        return X
     comm = higgins_binary(D, W, X)
     if comm.issubset(X):
         return X

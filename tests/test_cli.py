@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from commwb import cli
+from commwb._kernel_search import ternary_kernel_words
+from commwb.core import ValidationError, generate_subuniverse
 from commwb.fileio import algebra_to_json, canonical_dumps
-from commwb.varieties import cyclic_group, symmetric_group
+from commwb.varieties import builtin_library, cyclic_group, symmetric_group
 from test_core import _not_quite_groups
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -165,6 +167,26 @@ def test_word_oracle_refuses_an_oversized_search(capsys):
                           "--strategy", "word-oracle", "--word-bound", "44")
     assert code == 2
     assert "do not fit a 64-bit key" in err
+
+
+def test_word_oracle_refusal_stays_short_at_a_huge_bound(capsys):
+    # the half-word count of three order-2 factors doubles with each
+    # syllable; it is no longer counted once a level passes the limit, so
+    # the message does not print a number of thousands of digits
+    v4 = builtin_library().algebras["V4"]
+    subs = [generate_subuniverse(v4, (i,)) for i in (1, 2, 3)]
+    with pytest.raises(ValidationError) as err:
+        ternary_kernel_words(subs, 20000)
+    assert "more than 8,000,000 half-words" in str(err.value)
+    assert len(str(err.value)) < 200
+    code, out, err = _run(capsys, "commutator", "ternary", "--algebra",
+                          "V4", "--sub", "b", "--sub", "a", "--sub", "ab",
+                          "--strategy", "word-oracle", "--word-bound",
+                          "20000")
+    assert code == 2
+    assert out == ""
+    assert "needs more than 8,000,000 half-words" in err
+    assert len(err) < 200
 
 
 # ---------------------------------------------------------------------------

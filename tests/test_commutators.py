@@ -83,10 +83,12 @@ def test_cooperator_mirrors_binary_triviality_everywhere():
                 higgins_binary(alg, k, l).members
 
 
-def test_joint_generations_from_the_memo_match_cold_ones(lib):
+def test_joint_generations_from_the_memo_match_cold_ones(monkeypatch, lib):
     groups = [a for key, a in lib.algebras.items()
               if lib.algebra_profile[key] == "groups" and a.size <= 12]
     assert len(groups) == 21
+    # through the D^3 trace, which a group's commutators would spare
+    monkeypatch.setattr(commutators, "_group_tables", lambda D: None)
 
     def answers(D, K, L, cold):
         got = []
@@ -104,6 +106,39 @@ def test_joint_generations_from_the_memo_match_cold_ones(lib):
         for (K, L), got in zip(pairs, warm):
             assert answers(D, K, L, True) == got, (D.name, K.members,
                                                    L.members)
+
+
+def test_group_routes_match_the_joint_generation_trace(monkeypatch, lib):
+    # on every ordered pair (K, L) of subgroups of every catalogue group:
+    # [K, L], the cooperator's conflict, and w-normality and the w-normal
+    # closure of L under a weight with image K, against the D^3 trace
+    def answers(D, subs, incl):
+        out = []
+        for (K, k), (L, _) in itertools.product(zip(subs, incl), repeat=2):
+            coop = cooperator(D, K, L)
+            out.append((higgins_binary(D, K, L).members,
+                        coop.commutator.members, coop.conflict,
+                        is_w_normal(D, L, k),
+                        w_normal_closure(D, L, k).members))
+        return out
+
+    fast = {}
+    for key, D in library_algebras(lib, "groups"):
+        subs = subgroups(D)
+        incl = [s.inclusion_hom() for s in subs]
+        fast[key] = subs, incl, answers(D, subs, incl)
+    assert len(fast) == 23
+    got = [a for _, _, out in fast.values() for a in out]
+    assert len(got) == 1194
+    assert sum(conflict is not None for _, _, conflict, _, _ in got) == 626
+    assert sum(not normal for _, _, _, normal, _ in got) == 371
+    monkeypatch.setattr(commutators, "_group_tables", lambda D: None)
+    for key, D in library_algebras(lib, "groups"):
+        subs, incl, out = fast[key]
+        want = answers(D, subs, incl)
+        for (K, L), a, b in zip(itertools.product(subs, repeat=2), out,
+                                want):
+            assert a == b, (key, K.members, L.members)
 
 
 def test_basepoint_parts_are_checked_when_an_operation_moves_the_basepoint():
@@ -358,11 +393,15 @@ def test_group_routes_match_the_worklist_and_the_fixpoint(monkeypatch, lib):
 
 def test_smith_is_huq_on_every_congruence_pair(lib):
     # [R, S] is the congruence of [N_R, N_S], the joint-generation trace of
-    # the basepoint blocks in D^3; its cosets are found here by brute force
+    # the basepoint blocks in D^3, built here because higgins_binary reads
+    # [N_R, N_S] off commutators on a group; its cosets are found by brute
+    # force
     for key, D in library_algebras(lib, "groups"):
         mul = D.tables["mul"].tolist()
         for R, S in itertools.product(congruences(D), repeat=2):
-            H = higgins_binary(D, normalise(R), normalise(S)).members
+            N_R, N_S = normalise(R), normalise(S)
+            H = commutators._binary_commutator(
+                D, commutators._triple_trace(D, N_R, N_S)).members
             cosets = Congruence.from_raw_ids(
                 D, [min(mul[x][h] for h in H) for x in range(D.size)])
             assert smith(D, R, S).block_id == cosets.block_id, (key, R, S)
@@ -420,6 +459,10 @@ def test_commute_over_bundled_cospans(lib):
 
 def test_weighted_strategies_close_each_joint_generation_once(monkeypatch,
                                                              lib):
+    # on a group every joint generation is read off commutators, with no
+    # D^3 closure; on a semilattice the trace runs, once per generation:
+    # two w-normality checks and [X, Y], or two w-normal closures and the
+    # cooperator
     calls = []
     real = commutators.power_closure
 
@@ -428,19 +471,21 @@ def test_weighted_strategies_close_each_joint_generation_once(monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(commutators, "power_closure", counting)
-    s3 = symmetric_group(3)
-    cyc = cyclic_subgroups(s3)
-    incl = [c.inclusion_hom() for c in cyc]
-    proper = [(x, y, w) for x, y, w in itertools.product(incl, repeat=3)
-              if is_w_normal(s3, image_sub(x), w)
-              and is_w_normal(s3, image_sub(y), w)]
-    assert proper
-    for x, y, w in proper:
-        c = WeightedCospan(x=x, y=y, w=w)
-        for strategy in WEIGHTED_STRATEGIES:
-            calls.clear()
-            commute_over(c, strategy, profile=lib.profiles["groups"])
-            assert len(calls) == 3, (strategy, len(calls))
+    carriers = ((symmetric_group(3), 0), (lib.algebras["chain3"], 3),
+                (lib.algebras["diamond"], 3))
+    for D, closures in carriers:
+        subs = {generate_subuniverse(D, (i,)).members for i in range(D.size)}
+        incl = [Subuniverse(D, m).inclusion_hom() for m in sorted(subs)]
+        proper = [(x, y, w) for x, y, w in itertools.product(incl, repeat=3)
+                  if is_w_normal(D, image_sub(x), w)
+                  and is_w_normal(D, image_sub(y), w)]
+        assert proper
+        for x, y, w in proper:
+            c = WeightedCospan(x=x, y=y, w=w)
+            for strategy in WEIGHTED_STRATEGIES:
+                calls.clear()
+                commute_over(c, strategy, profile=lib.profiles["groups"])
+                assert len(calls) == closures, (D.name, strategy, len(calls))
 
 
 def test_commute_over_ssh_requires_certified_profile(lib):
