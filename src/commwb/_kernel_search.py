@@ -42,22 +42,27 @@ word before its extensions.
 
 Level K has 3(n-1)(2(n-1))^(K-1) rows for three factors of order n; a
 search over ``MAX_HALF_WORDS`` is refused before anything is allocated.
-The search also emits each record's start offset, which the returned
-buffer carries as ``starts``, so a caller folds all records at once
-without walking the buffer.
+The search emits its words as rows of syllable codes, (f + 1) << b | x
+for b the bits of the largest local element and 0 for the padding, one
+column per position.  Packed into as few int64 words as hold them, the
+rows sort lexicographically, each word before its extensions.  The
+returned buffer also carries each record's start offset as ``starts``
+and the sorted code matrix as ``codes``, so a caller folds all records at
+once without walking the buffer.
 
 Two facts spare most searches.  With a trivial factor, deleting it leaves
 every word as it is, so only the empty word lies in the kernel: the answer
 is one shared empty buffer, given before the size check and never cached.
 And permuting the factors only renames the factor ids in the words.  So a
-search runs once per multiset of local tables, on the factors sorted by
-(order, table bytes), and any other order of them renames the factor ids of
-those records, leaves the padding, and sorts them again; the buffer and
-its ``starts`` are byte for byte what a search in that order gives.  Both
-are cached, keyed by (table bytes, orders, bound) in their order, so a
-repeated triple is one lookup.  The cache keeps at most
-``MAX_CACHE_BYTES`` of records and offsets, dropping the oldest buffer with
-its offsets.
+search runs once per multiset of local tables, in ``_search_order``:
+sorted by (order, table bytes).  The word oracle asks in that order and
+renames factor ids on the codes it reads, so it never needs another
+buffer.  A direct caller that asks in another order gets the search's
+codes renamed and sorted again, byte for byte what a search in its order
+gives.  Every buffer is cached, keyed by (table bytes, orders, bound) in
+its order, so a repeated triple is one lookup.  The cache keeps at most
+``MAX_CACHE_BYTES`` of records, offsets and codes, dropping the oldest
+buffer with both.
 """
 
 from __future__ import annotations
@@ -245,7 +250,7 @@ def _syllables(tab: _Tables, levels: list, k: int, rows: np.ndarray):
 def _records(tab: _Tables, levels: list, k: int, max_len: int,
              left: np.ndarray, middle: list, right: np.ndarray,
              inverse=None) -> np.ndarray:
-    """Padded records of the words u·s·v⁻¹: u and v are level-k rows, s the
+    """Code rows of the words u·s·v⁻¹: u and v are level-k rows, s the
     syllables in ``middle``, one (factor, element) pair of arrays each;
     then those of the inverse words the mask ``inverse`` selects."""
     fl, xl = _syllables(tab, levels, k, left)
@@ -257,12 +262,9 @@ def _records(tab: _Tables, levels: list, k: int, max_len: int,
         fi, xi = fs[inverse], xs[inverse]
         fs = np.vstack([fs, fi[:, ::-1]])
         xs = np.vstack([xs, tab.inv[fi, xi][:, ::-1]])
-    length = fs.shape[1]
-    rec = np.zeros((len(fs), 1 + 2 * max_len), dtype=np.int64)
-    rec[:, 0] = length
-    rec[:, 1:1 + 2 * length:2] = fs
-    rec[:, 2:2 + 2 * length:2] = xs
-    return rec
+    codes = np.zeros((len(fs), max_len), dtype=_code_dtype(tab.xbits))
+    codes[:, :fs.shape[1]] = (fs + 1) << tab.xbits | xs
+    return codes
 
 
 def _odd_words(tab: _Tables, levels: list, k: int, index: _Index,
@@ -320,13 +322,13 @@ def _widest_level(ns, half: int) -> int | None:
 
 
 def _kernel_records(tab: _Tables, max_len: int):
-    """Padded records of every kernel word of 2 to ``max_len`` syllables,
-    in batches; the levels and indexes go when the batches are done."""
+    """Code rows of every kernel word of 2 to ``max_len`` syllables, in
+    batches; the levels and indexes go when the batches are done."""
     top = (max_len - 1) // 2
     # the empty word; all three blocks empty, so its last factor reads as 3
     levels = [_Level(np.zeros(4, dtype=np.int64), (),
                      np.zeros((3, 1), dtype=np.int64))]
-    yield np.zeros((0, 1 + 2 * max_len), dtype=np.int64)
+    yield np.zeros((0, max_len), dtype=_code_dtype(tab.xbits))
     for k in range(top + 1):
         lev = levels[k]
         parents = _not_ending_in(lev)
@@ -341,53 +343,95 @@ def _kernel_records(tab: _Tables, max_len: int):
 
 def _search(tab: _Tables, max_len: int) -> np.ndarray:
     """Flat record buffer, lexicographically ordered."""
-    return _flatten(np.concatenate(list(_kernel_records(tab, max_len))))
+    return _flatten(np.concatenate(list(_kernel_records(tab, max_len))),
+                    tab.xbits)
 
 
 class _Records(np.ndarray):
     """A flat record buffer that also carries ``starts``, the offset of each
-    record in it."""
+    record in it, and ``codes``, the same records as a code matrix: one row
+    per record and one column per syllable position."""
 
     starts: np.ndarray
+    codes: np.ndarray
 
 
-def _flatten(recs: np.ndarray) -> _Records:
-    """Flat record buffer of padded record rows, lexicographically ordered,
-    with their offsets."""
-    # the padding (0, 0) sorts below every syllable (x >= 1), so a lexsort
-    # on the syllable columns puts each word before its extensions
-    recs = recs[np.lexsort(recs[:, :0:-1].T)]
-    sizes = 1 + 2 * recs[:, 0]
-    buf = recs[np.arange(recs.shape[1]) < sizes[:, None]].view(_Records)
-    buf.starts = np.cumsum(sizes) - sizes
-    buf.setflags(write=False)
-    buf.starts.setflags(write=False)
+def _code_bits(sizes) -> int:
+    """Bits of a local element over factors of these orders; syllable (f, x)
+    is coded ``(f + 1) << bits | x``, and the padding 0."""
+    return (max(sizes) - 1).bit_length()
+
+
+def _code_dtype(xbits: int) -> np.dtype:
+    return np.min_scalar_type((4 << xbits) - 1)
+
+
+def _lex_order(codes: np.ndarray, xbits: int) -> np.ndarray:
+    """The order that sorts code rows lexicographically: each row packed,
+    first position highest, into as few int64 words as hold it."""
+    width = xbits + 2
+    # 63 bits a word keep the words non-negative int64, the integer type
+    # the rest of the program runs on
+    per = 63 // width
+    shifts = width * np.arange(per - 1, -1, -1)
+    words = [(codes[:, lo:lo + per] << shifts[:codes.shape[1] - lo]).sum(1)
+             for lo in range(0, codes.shape[1], per)]
+    return np.lexsort(words[::-1])
+
+
+def _flatten(codes: np.ndarray, xbits: int) -> _Records:
+    """Flat record buffer of code rows, lexicographically ordered, with
+    their offsets and sorted codes."""
+    # the padding 0 sorts below every syllable code, so each word comes
+    # before its extensions
+    codes = codes[_lex_order(codes, xbits)]
+    wide = codes.astype(np.int64)
+    lengths = (wide != 0).sum(1)
+    recs = np.empty((len(codes), 1 + 2 * codes.shape[1]), dtype=np.int64)
+    recs[:, 0] = lengths
+    recs[:, 1::2] = (wide >> xbits) - 1
+    recs[:, 2::2] = wide & (1 << xbits) - 1
+    sizes = 1 + 2 * lengths
+    return _frozen(recs[np.arange(recs.shape[1]) < sizes[:, None]],
+                   np.cumsum(sizes) - sizes, codes)
+
+
+def _frozen(buf: np.ndarray, starts: np.ndarray, codes: np.ndarray
+            ) -> _Records:
+    """``buf`` as a read-only ``_Records`` with its offsets and codes."""
+    buf = buf.view(_Records)
+    buf.starts, buf.codes = starts, codes
+    for a in (buf, starts, codes):
+        a.setflags(write=False)
     return buf
 
 
-def _renamed(buf: _Records, perm, max_len: int) -> _Records:
+def _renaming(perm, xbits: int) -> np.ndarray:
+    """The code table that renames factor id c to ``perm[c]`` and keeps the
+    padding."""
+    table = np.arange(4 << xbits, dtype=_code_dtype(xbits)).reshape(4, -1)
+    return table[[0] + [c + 1 for c in perm]].ravel()
+
+
+def _renamed(buf: _Records, perm, xbits: int) -> _Records:
     """The records of ``buf`` with factor id c renamed ``perm[c]``."""
-    sizes = 1 + 2 * buf[buf.starts]
-    recs = np.zeros((len(sizes), 1 + 2 * max_len), dtype=np.int64)
-    recs[np.arange(recs.shape[1]) < sizes[:, None]] = buf
-    # the factor column of each syllable; the (0, 0) padding stays
-    factors = recs[:, 1::2]
-    used = np.arange(max_len) < recs[:, :1]
-    factors[used] = np.asarray(perm)[factors[used]]
-    return _flatten(recs)
+    return _flatten(_renaming(perm, xbits)[buf.codes], xbits)
 
 
 # No kernel word but the empty one, which no buffer holds: below bound 2,
 # and whenever a factor is trivial, since deleting that factor leaves every
-# word as it is.
-_NO_WORDS = _flatten(np.zeros((0, 3), dtype=np.int64))
+# word as it is.  Built without ``_flatten``, so that importing the module
+# runs no cast from the narrow codes: numpy's first such cast costs the
+# process about 64 KB of set-up, then on top of the import's peak.
+_NO_WORDS = _frozen(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                    np.zeros((0, 1), dtype=np.uint8))
 
-# Bytes of records and start offsets the word cache keeps, oldest dropped
-# first.  A sweep over all subgroup triples of D4 and Q8 plus ten cold
-# searches up to factor orders (8, 8, 16), at bound 10, runs 46 searches
-# and keeps one buffer per ordered triple without a trivial factor: 130
-# buffers, 35.0 MiB.  A sorted order that no caller asked for adds one
-# more (3.7 MiB for (8, 8, 16)).
+# Bytes of records, start offsets and codes the word cache keeps, oldest
+# dropped first.  A word-oracle sweep over all subgroup triples of D4 and
+# Q8 plus ten cold searches up to factor orders (8, 8, 16), at bound 10,
+# runs 46 searches and keeps their 46 buffers, 19.3 MiB.  Asking
+# ``ternary_kernel_words`` for each of those triples in its own order adds
+# one renamed buffer per order: 131 buffers, 40.9 MiB.
 MAX_CACHE_BYTES = 1 << 26
 _WORD_CACHE: dict = {}
 
@@ -401,12 +445,16 @@ def _local_order(sub: Subuniverse) -> np.ndarray:
 
 def _local_group_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
     """The multiplication table of ``sub`` on local indices 0..k-1, where
-    local index i is ``_local_order(sub)[i]``."""
-    mul, _ = _require_group(sub.parent, "the word oracle")
-    m = _local_order(sub)
-    back = np.zeros(sub.parent.size, dtype=np.int64)
-    back[m] = np.arange(len(m))
-    return back[mul[m[:, None], m]], len(m)
+    local index i is ``_local_order(sub)[i]``, and k; kept on ``sub``."""
+    if "_local_tables" not in sub.__dict__:
+        mul, _ = _require_group(sub.parent, "the word oracle")
+        m = _local_order(sub)
+        back = np.zeros(sub.parent.size, dtype=np.int64)
+        back[m] = np.arange(len(m))
+        table = back[mul[m[:, None], m]]
+        table.setflags(write=False)
+        object.__setattr__(sub, "_local_tables", (table, len(m)))
+    return sub._local_tables
 
 
 def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
@@ -415,7 +463,8 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     local multiplication tables of three subgroups (``_local_order``).
 
     Record format: length L followed by L (factor, local element) pairs.
-    The buffer's ``starts`` holds the offset of each record.  With a
+    The buffer's ``starts`` holds the offset of each record and its
+    ``codes`` the records as a code matrix (``_Records``).  With a
     trivial factor the answer is the shared empty buffer, found without a
     search.  Otherwise raises ``ValidationError`` when the deepest stored
     half-word level would exceed ``MAX_HALF_WORDS`` rows, or a deletion
@@ -430,8 +479,8 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     if hit is not None:
         return hit
     # permuting the factors only renames the factor ids of the words, so
-    # one search serves every order: the one sorted by (order, table bytes)
-    perm = sorted(range(3), key=lambda i: (sizes[i], key[0][i]))
+    # one search serves every order
+    perm = _search_order(tabs, sizes)
     canon = (tuple(key[0][i] for i in perm), tuple(sizes[i] for i in perm),
              max_len)
     buf = _WORD_CACHE.get(canon)
@@ -439,8 +488,15 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
         tables = _search_tables([tabs[i] for i in perm], canon[1], max_len)
         buf = _remember(canon, _search(tables, max_len))
     if canon != key:
-        buf = _remember(key, _renamed(buf, perm, max_len))
+        buf = _remember(key, _renamed(buf, perm, _code_bits(sizes)))
     return buf
+
+
+def _search_order(tabs, sizes) -> list:
+    """The factor order of the search that serves factors with these local
+    tables and orders: sorted by (order, table bytes), ties kept in place.
+    Factor c of that search is factor ``_search_order(...)[c]`` here."""
+    return sorted(range(3), key=lambda i: (sizes[i], tabs[i].tobytes()))
 
 
 def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
@@ -454,7 +510,7 @@ def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
             f" {half - 1} syllables over factors of orders {sizes}, above the"
             f" limit of {MAX_HALF_WORDS:,}; lower the word bound")
     nmax = max(sizes)
-    xbits = (nmax - 1).bit_length()
+    xbits = _code_bits(sizes)
     if (xbits + 2) * half > 63:
         raise ValidationError(
             f"word oracle at bound {max_len}: deletion words of {half}"
@@ -471,8 +527,12 @@ def _remember(key: tuple, buf: _Records) -> _Records:
     """Cache ``buf`` under ``key``, dropping the oldest buffers over
     ``MAX_CACHE_BYTES``."""
     _WORD_CACHE[key] = buf
-    held = sum(b.nbytes + b.starts.nbytes for b in _WORD_CACHE.values())
+    held = sum(map(_held, _WORD_CACHE.values()))
     while held > MAX_CACHE_BYTES:
-        old = _WORD_CACHE.pop(next(iter(_WORD_CACHE)))
-        held -= old.nbytes + old.starts.nbytes
+        held -= _held(_WORD_CACHE.pop(next(iter(_WORD_CACHE))))
     return buf
+
+
+def _held(buf: _Records) -> int:
+    """Bytes of a cached buffer: its records, offsets and codes."""
+    return buf.nbytes + buf.starts.nbytes + buf.codes.nbytes

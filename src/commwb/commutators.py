@@ -55,8 +55,9 @@ from .core import (
     _sorted_distinct,
 )
 from . import terms
-from ._kernel_search import (DEFAULT_WORD_BOUND, _local_order,
-                             ternary_kernel_words)
+from ._kernel_search import (DEFAULT_WORD_BOUND, _code_bits, _lex_order,
+                             _local_group_tables, _local_order, _renaming,
+                             _search_order, ternary_kernel_words)
 
 __all__ = [
     "WeightedCospan",
@@ -340,31 +341,42 @@ def _ternary_group_fast(D, mul, inv, K, L, M) -> CommutatorReport:
 
 
 def _ternary_word_oracle(D, mul, K, L, M, bound: int) -> CommutatorReport:
-    words = ternary_kernel_words((K, L, M), bound)
-    # a plain ndarray view, so the fold's results are plain arrays too
-    buf, starts = np.asarray(words), words.starts
-    lengths = buf[starts]
-    to_parent = np.zeros((3, max(len(K), len(L), len(M))), dtype=np.int64)
-    for f, sub in enumerate((K, L, M)):
-        to_parent[f, :len(sub)] = _local_order(sub)
-    bp = D.basepoint
-    # fold every record at once, one syllable position at a time, over the
-    # records that still have a syllable there
-    vals = np.full(len(starts), bp, dtype=np.int64)
-    act = np.arange(len(starts))
-    for i in range(int(lengths.max(initial=0))):
-        act = act[lengths[act] > i]
-        pos = starts[act] + 1 + 2 * i
-        vals[act] = mul[vals[act], to_parent[buf[pos], buf[pos + 1]]]
-    witnesses = []
-    for r in np.flatnonzero(vals != bp)[:_WITNESS_CAP]:
-        rec = buf[starts[r] + 1:starts[r] + 1 + 2 * lengths[r]]
-        sylls = tuple((int(f), int(to_parent[f, x]))
-                      for f, x in rec.reshape(-1, 2))
-        witnesses.append(("word", sylls, int(vals[r])))
+    """The subgroup generated by the values in D of the kernel words of up
+    to ``bound`` syllables over K, L and M, a lower bound of [K, L, M].
+
+    The words are asked for in the factor order of the search that serves
+    the triple (``_search_order``), so a cached buffer is read as it is and
+    never renamed.  The fold maps each code of the buffer's matrix to the
+    parent element of its syllable (the padding to the identity) in one
+    gather, then multiplies the columns in.  The witnesses are the first
+    ``_WITNESS_CAP`` words with a nontrivial value in the order of the
+    buffer for K, L, M as given: their codes renamed back and sorted again.
+    """
+    subs = (K, L, M)
+    tabs, sizes = zip(*(_local_group_tables(s) for s in subs))
+    perm = _search_order(tabs, sizes)
+    words = ternary_kernel_words(tuple(subs[i] for i in perm), bound)
+    xbits = _code_bits(sizes)
+    rename = _renaming(perm, xbits)
+    # the parent element of each syllable code (f + 1) << xbits | x in the
+    # order given, row f + 1 and column x; the padding 0 is the identity
+    to_parent = np.full((4, 1 << xbits), D.basepoint, dtype=np.int64)
+    for f, sub in enumerate(subs):
+        to_parent[f + 1, :len(sub)] = _local_order(sub)
+    to_parent = to_parent.ravel()
+    vals = np.full(len(words.starts), D.basepoint, dtype=np.int64)
+    for col in to_parent[rename][words.codes.T]:
+        vals = mul[vals, col]
+    hit = np.flatnonzero(vals != D.basepoint)
+    codes = rename[words.codes[hit]]
+    first = _lex_order(codes, xbits)[:_WITNESS_CAP]
+    witnesses = tuple(
+        ("word", tuple(((int(c) >> xbits) - 1, int(to_parent[c]))
+                       for c in row if c), int(v))
+        for row, v in zip(codes[first], vals[hit[first]]))
     result = generate_subuniverse(D, _sorted_distinct(vals))
     return CommutatorReport(result, f"word-oracle({bound})", complete=False,
-                            witnesses=tuple(witnesses))
+                            witnesses=witnesses)
 
 
 def _enumerate_term_classes(D: FinAlgebra, depth: int):

@@ -17,8 +17,8 @@ from commwb.commutators import _WITNESS_CAP, higgins_ternary
 from commwb.core import (Subuniverse, ValidationError, check_hom,
                          generate_subuniverse)
 from commwb.sweeps import subgroups
-from commwb.varieties import (cyclic_group, dicyclic_group, dihedral_group,
-                              symmetric_group)
+from commwb.varieties import (alternating_group, cyclic_group,
+                              dicyclic_group, dihedral_group, symmetric_group)
 from freeprod import (Word, cosmash_kernel_words, delete_factor, evaluate,
                       identity_word, make_word, word_inverse, word_multiply)
 from test_core import _relabel
@@ -256,21 +256,34 @@ def test_engine_counts_frozen_at_bounds_11_and_12():
             assert len(words.starts) == count
 
 
+def _held(buf):
+    """Bytes the word cache counts for a buffer: its records, offsets and
+    code matrix."""
+    return buf.nbytes + buf.starts.nbytes + buf.codes.nbytes
+
+
 def test_word_cache_drops_its_oldest_records(monkeypatch):
     _, (c2, _, full) = _c2_c2_s3()
     triples = [(c2, c2, full), (full, c2, c2), (c2, full, c2)]
     monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     bufs = [ternary_kernel_words(t, max_len=10) for t in triples]
     assert all(len(b) for b in bufs) and len(kernel_search._WORD_CACHE) == 3
-    # room for the last two entries only, records and offsets: the first
-    # one goes
+    # room for the last two entries only: the first one goes
     monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
-                        sum(b.nbytes + b.starts.nbytes for b in bufs[1:]))
+                        sum(map(_held, bufs[1:])))
     again = [ternary_kernel_words(t, max_len=10) for t in triples]
     kept = list(kernel_search._WORD_CACHE.values())
     assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
     assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
+    # a byte less: the code matrices count, so only the last entry stays
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
+                        sum(map(_held, bufs[1:])) - 1)
+    again = [ternary_kernel_words(t, max_len=10) for t in triples]
+    assert list(kernel_search._WORD_CACHE.values()) == [again[2]]
+    assert all(b.codes.dtype == np.uint8 and b.codes.shape == (150, 10)
+               for b in again)
 
 
 _SEARCH = kernel_search._search
@@ -387,8 +400,7 @@ def test_a_permuted_triple_whose_canonical_buffer_was_dropped(
     _, (c2, _, full) = _c2_c2_s3()
     canonical = ternary_kernel_words((c2, c2, full), 10)
     # room for one buffer: caching the next order drops the canonical one
-    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
-                        canonical.nbytes + canonical.starts.nbytes)
+    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES", _held(canonical))
     ternary_kernel_words((full, c2, c2), 10)
     assert list(kernel_search._WORD_CACHE) == [
         (_tables_key((full, c2, c2)), (6, 2, 2), 10)]
@@ -406,6 +418,32 @@ def test_a_permuted_buffer_keeps_each_word_before_its_extensions():
     subs = (Subuniverse(s3, (0, 3, 4)),) + (Subuniverse(s3, (0, 2)),) * 2
     got = ternary_kernel_words(subs, 20)
     assert _same_buffer(got, _fresh_search(subs, 20))
+
+
+@pytest.mark.parametrize("group, orders, bound", [
+    (symmetric_group(3), (2, 2, 6), 13), (dihedral_group(5), (2, 10, 2), 14),
+    (dihedral_group(5), (10, 2, 2), 13),
+], ids=["C2xC2xS3-13", "C2xD5xC2-14", "D5xC2xC2-13"])
+def test_records_come_in_lexicographic_order(group, orders, bound):
+    # the buffer is sorted on syllable codes packed into one or two uint64
+    # words per record; Python's tuple order, a word before its
+    # extensions, is the reference
+    by_order = {len(s): s for s in subgroups(group)}
+    got = _record_pairs(ternary_kernel_words(
+        tuple(by_order[n] for n in orders), bound))
+    assert len(got) and got == sorted(got)
+
+
+def test_code_rows_sort_as_tuples():
+    # few distinct codes, so that many rows share the codes of their first
+    # packed word and the later words decide
+    rng = np.random.default_rng(19)
+    for xbits, width in ((1, 40), (2, 17), (4, 13), (5, 10), (7, 12)):
+        pick = rng.choice(4 << xbits, size=3, replace=False)
+        codes = pick[rng.integers(0, 3, size=(400, width))].astype(
+            kernel_search._code_dtype(xbits))
+        got = codes[kernel_search._lex_order(codes, xbits)].tolist()
+        assert got == sorted(codes.tolist())
 
 
 def test_each_multiset_of_factors_is_searched_once(counted_searches):
@@ -443,11 +481,39 @@ def test_a_trivial_factor_gives_no_words_without_a_search(counted_searches):
 
 
 def test_word_oracle_matches_the_scalar_fold():
-    for D in (dihedral_group(4), dicyclic_group(2), symmetric_group(3)):
-        for subs in itertools.product(subgroups(D), repeat=3):
+    # A4's proper subgroups give triples in every search order, most with
+    # more nontrivial words than the oracle keeps as witnesses
+    a4 = alternating_group(4)
+    cases = [(D, subgroups(D)) for D in (dihedral_group(4), dicyclic_group(2),
+                                         symmetric_group(3))]
+    cases.append((a4, [s for s in subgroups(a4) if len(s) < 12]))
+    capped = 0
+    for D, subs_of_D in cases:
+        for subs in itertools.product(subs_of_D, repeat=3):
             report = higgins_ternary(D, *subs, "word-oracle", word_bound=10)
             assert (report.result.members, report.witnesses) \
                 == _scalar_word_oracle(D, subs, 10)
+            capped += D is a4 and len(report.witnesses) == _WITNESS_CAP
+    assert capped == 252
+
+
+def test_the_word_oracle_reads_search_buffers_without_renaming(monkeypatch):
+    # every triple asks for its words in the order its search runs in, so
+    # the cache holds one buffer per multiset of nontrivial tables, under
+    # its search-order key, and none is renamed
+    def refuse(*args):
+        raise AssertionError("a cached buffer was renamed")
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    monkeypatch.setattr(kernel_search, "_renamed", refuse)
+    D = dihedral_group(4)
+    triples = list(itertools.product(subgroups(D), repeat=3))
+    for subs in triples:
+        higgins_ternary(D, *subs, "word-oracle", word_bound=10)
+    keys = list(kernel_search._WORD_CACHE)
+    for blobs, sizes, _ in keys:
+        assert list(zip(sizes, blobs)) == sorted(zip(sizes, blobs))
+    assert len(keys) == sum(all(len(s) > 1 for s in group[0])
+                            for group in _by_multiset(triples)) == 20
 
 
 def test_word_oracle_with_no_kernel_words():
