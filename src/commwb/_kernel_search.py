@@ -41,7 +41,9 @@ candidates.  Records come out lexicographically in (factor, element), a
 word before its extensions.
 
 Level K has 3(n-1)(2(n-1))^(K-1) rows for three factors of order n; a
-search over ``MAX_HALF_WORDS`` is refused before anything is allocated.
+search over ``MAX_HALF_WORDS`` is refused before anything is allocated,
+and one whose words would take more than ``MAX_WORD_BYTES`` as records
+is refused once it has found that many.
 The search emits its words as rows of syllable codes, (f + 1) << b | x
 for b the bits of the largest local element and 0 for the padding, one
 column per position.  Packed into as few int64 words as hold them, the
@@ -83,6 +85,10 @@ DEFAULT_WORD_BOUND = 12
 # index and the index's sort), so about 1.2 GB at the limit, before the
 # records of the words found.
 MAX_HALF_WORDS = 8_000_000
+# Bytes the records of the words found may take: the flat int64 buffer
+# and ``_flatten``'s padded copy, 16(1 + 2B) bytes a word at most, so
+# 1,636,801 words at bound 20.
+MAX_WORD_BYTES = 1 << 30
 
 _CHUNK = 1 << 18
 _MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -342,9 +348,23 @@ def _kernel_records(tab: _Tables, max_len: int):
 
 
 def _search(tab: _Tables, max_len: int) -> np.ndarray:
-    """Flat record buffer, lexicographically ordered."""
-    return _flatten(np.concatenate(list(_kernel_records(tab, max_len))),
-                    tab.xbits)
+    """Flat record buffer, lexicographically ordered.  Raises
+    ``ValidationError`` once the words found would need more than
+    ``MAX_WORD_BYTES``: each is charged twice its padded int64 record, for
+    ``_flatten``'s padded copy and the flat buffer, which is no larger."""
+    batches, words = [], 0
+    per_word = 2 * 8 * (1 + 2 * max_len)
+    for codes in _kernel_records(tab, max_len):
+        words += len(codes)
+        if words * per_word > MAX_WORD_BYTES:
+            orders = tuple(tab.ns.tolist())
+            raise ValidationError(
+                f"word oracle at bound {max_len} finds at least {words:,}"
+                f" kernel words over factors of orders {orders}, whose"
+                f" records need more than the limit of {MAX_WORD_BYTES:,}"
+                f" bytes; lower the word bound")
+        batches.append(codes)
+    return _flatten(np.concatenate(batches), tab.xbits)
 
 
 class _Records(np.ndarray):
@@ -467,8 +487,9 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     ``codes`` the records as a code matrix (``_Records``).  With a
     trivial factor the answer is the shared empty buffer, found without a
     search.  Otherwise raises ``ValidationError`` when the deepest stored
-    half-word level would exceed ``MAX_HALF_WORDS`` rows, or a deletion
-    word would not fit a 64-bit key.
+    half-word level would exceed ``MAX_HALF_WORDS`` rows, a deletion
+    word would not fit a 64-bit key, or the words found would take more
+    than ``MAX_WORD_BYTES`` as records.
     """
     tabs, sizes = zip(*(_local_group_tables(s) for s in subs))
     max_len = int(max_len)

@@ -26,10 +26,16 @@ The trace stays the route for every other signature and the tests'
 reference for the group route.
 
 On top of the binary case the module provides ternary commutators (three
-strategies of different strength), the Smith commutator of congruences
-(from normal subgroups on groups, via the standard fourfold-matrix
-fixpoint elsewhere), normalisation, w-normal closures,
-and verdicts for when two morphisms commute over a weight.
+strategies of different strength), the Smith commutator of congruences,
+normalisation, w-normal closures, and verdicts for when two morphisms
+commute over a weight.  Smith has two exact routes beside the standard
+fourfold-matrix fixpoint, which stays for every other signature and as
+the tests' reference: on a group, the cosets of the commutator of the
+normal subgroups (J.D.H. Smith, *Mal'cev Varieties*, 1976); on a Heyting
+semilattice (``core._heyting_tables``), the meet of the two congruences,
+since Heyting semilattices form a congruence-distributive variety, where
+[R, S] = R ∧ S (Freese–McKenzie, *Commutator Theory for Congruence
+Modular Varieties*, 1987).
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .core import (
     image_sub,
     power_closure,
     _group_tables,
+    _heyting_tables,
     _normal_cosets,
     _require_group,
     _sorted_distinct,
@@ -505,25 +512,34 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
     congruences is the congruence of the group commutator of their normal
     subgroups (J.D.H. Smith, *Mal'cev Varieties*, LNM 554, 1976;
     Freese–McKenzie, *Commutator Theory for Congruence Modular
-    Varieties*, 1987).  Otherwise the fourfold-matrix fixpoint of
+    Varieties*, 1987).  On a Heyting semilattice (``_heyting_tables``),
+    the meet R ∧ S: Heyting semilattices form an arithmetical, hence
+    congruence-distributive, variety, and there [R, S] = R ∧ S
+    (Freese–McKenzie).  Otherwise the fourfold-matrix fixpoint of
     ``_smith_fixpoint``.  R and S centralise each other exactly when the
     result is the diagonal.
     """
     if R.parent is not D or S.parent is not D:
         raise ValidationError("congruences must live on the carrier")
     group = _group_tables(D)
-    if group is None:
-        return _smith_fixpoint(D, R, S)
-    mul, inv = group
-    m = np.asarray(normalise(R).members)[:, None]
-    n = np.asarray(normalise(S).members)[None, :]
-    return _normal_cosets(D, mul, inv, _bracket(mul, inv, m, n))
+    if group is not None:
+        mul, inv = group
+        m = np.asarray(normalise(R).members)[:, None]
+        n = np.asarray(normalise(S).members)[None, :]
+        return _normal_cosets(D, mul, inv, _bracket(mul, inv, m, n))
+    if _heyting_tables(D) is not None:
+        # the block of i is the least element with i's pair of blocks
+        first: dict = {}
+        return Congruence._trusted(D, tuple(
+            first.setdefault(pair, i)
+            for i, pair in enumerate(zip(R.block_id, S.block_id))))
+    return _smith_fixpoint(D, R, S)
 
 
 def _smith_fixpoint(D: FinAlgebra, R: Congruence, S: Congruence
                     ) -> Congruence:
     """[R, S] for any signature, and the tests' reference for the group
-    route of ``smith``.
+    and Heyting routes of ``smith``.
 
     Builds the subalgebra of D^4 generated by all rows (a, a, b, b) with
     a R b and (u, v, u, v) with u S v, then grows a congruence from the

@@ -12,7 +12,10 @@ by the seeds, adding one generator at a time as Dimino's algorithm does;
 otherwise, and for the fill-in search, the semi-naive route applies every
 operation.  On a group, congruences need no closure in a power at all:
 ``generate_congruence`` takes the cosets of a normal closure
-(``_normal_cosets``).  A bounded memo sits in front of it: a
+(``_normal_cosets``).  ``_heyting_tables`` decides the same way, from
+the tables and once per algebra, whether an algebra is a Heyting
+semilattice, for ``smith``'s meet route.  A bounded memo sits in front
+of the engine: a
 closure asked again with the same factor algebras (the same objects) and
 the same set of seed rows returns the rows of the first call, read-only.
 The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and a fixed
@@ -736,6 +739,48 @@ def _group_check(algebra: FinAlgebra):
                                     mul[i:i + step][:, mul])
                      for i in range(0, n, step)))
     return (mul, inv) if group else None
+
+
+def _heyting_tables(algebra: FinAlgebra):
+    """``(meet, imp)`` of a Heyting semilattice, else None: the signature
+    is two binary operations and the basepoint, whatever their names; meet
+    is idempotent, commutative and associative with the basepoint as its
+    top, and imp is its relative pseudocomplement, z <= imp(x, y) exactly
+    when meet(z, x) <= y.  Checked once and kept on the algebra; with n^3
+    above ``MAX_CLOSURE_KEYS``, not checked and None."""
+    if "_heyting" not in algebra.__dict__:
+        object.__setattr__(algebra, "_heyting", _heyting_check(algebra))
+    return algebra._heyting
+
+
+def _heyting_check(algebra: FinAlgebra):
+    n, ops = algebra.size, algebra.signature.ops
+    if sorted(k for _, k in ops) != [0, 2, 2] or n ** 3 > MAX_CLOSURE_KEYS:
+        return None
+    a, b = (algebra.tables[op] for op, k in ops if k == 2)
+    # imp(x, x) is the top, so imp is idempotent only on one element: with
+    # more, at most one order of the two tables passes
+    for meet, imp in ((a, b), (b, a)):
+        if _is_heyting(meet, imp, algebra.basepoint):
+            return meet, imp
+    return None
+
+
+def _is_heyting(meet: np.ndarray, imp: np.ndarray, top: int) -> bool:
+    n, x = len(meet), np.arange(len(meet))
+    if not (np.array_equal(meet[x, x], x) and np.array_equal(meet, meet.T)
+            and np.array_equal(meet[top], x)):
+        return False
+    leq = meet == x[:, None]            # leq[z, y]: z <= y
+    step = max(1, _CHUNK // (n * n))    # in slices over the first argument
+    for i in range(0, n, step):
+        part = meet[i:i + step]
+        # (xy)z = x(yz), and z <= imp(x, y) exactly when meet(z, x) <= y,
+        # with x the sliced argument
+        if not (np.array_equal(meet[part], part[:, meet])
+                and np.array_equal(leq[:, imp[i:i + step]], leq[part.T])):
+            return False
+    return True
 
 
 def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,

@@ -13,7 +13,9 @@ Enumeration strategy:
   reached.  Cost is (number of subgroups) x (carrier size) closure calls.
 * congruences: every congruence is a join of principal congruences, so
   generating the principal ones and closing under pairwise join yields the
-  whole congruence lattice.
+  whole congruence lattice.  On a group, Cg(a, b) = Cg(e, a⁻¹b), so the
+  n - 1 pairs (e, g) give every principal congruence; elsewhere all
+  n(n - 1)/2 pairs are tried.
 
 Both are intended for carriers of a few dozen elements at most; nothing
 here tries to be clever beyond that scale.
@@ -24,7 +26,8 @@ from __future__ import annotations
 import itertools
 
 from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
-                   _require_group, generate_congruence, generate_subuniverse)
+                   _group_tables, _require_group, generate_congruence,
+                   generate_subuniverse)
 
 __all__ = [
     "subgroups",
@@ -78,7 +81,8 @@ def cyclic_subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
 
 
 def congruences(algebra: FinAlgebra) -> tuple[Congruence, ...]:
-    """The whole congruence lattice, as join-closure of principal members.
+    """The whole congruence lattice, as join-closure of principal members
+    (on a group, those of the pairs (e, g)).
 
     Returns the diagonal first, then every other congruence sorted by its
     canonical block-id tuple.
@@ -93,7 +97,12 @@ def congruences(algebra: FinAlgebra) -> tuple[Congruence, ...]:
 
     admit(generate_congruence(algebra, []))
     fresh = []
-    for a, b in itertools.combinations(range(algebra.size), 2):
+    pairs = itertools.combinations(range(algebra.size), 2)
+    if _group_tables(algebra) is not None:
+        # a ~ b exactly when e ~ a⁻¹b, so Cg(a, b) = Cg(e, a⁻¹b)
+        e = algebra.basepoint
+        pairs = ((e, g) for g in range(algebra.size) if g != e)
+    for a, b in pairs:
         theta = generate_congruence(algebra, [(a, b)])
         if admit(theta):
             fresh.append(theta)

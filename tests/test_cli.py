@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from commwb import cli
+from commwb import _kernel_search as kernel_search, cli
 from commwb._kernel_search import ternary_kernel_words
 from commwb.core import ValidationError, generate_subuniverse
 from commwb.fileio import algebra_to_json, canonical_dumps
@@ -187,6 +187,29 @@ def test_word_oracle_refusal_stays_short_at_a_huge_bound(capsys):
     assert out == ""
     assert "needs more than 8,000,000 half-words" in err
     assert len(err) < 200
+
+
+def test_word_oracle_refuses_more_words_than_the_byte_limit(monkeypatch,
+                                                            capsys):
+    # the three order-2 subgroups of V4 have 60 kernel words at bound 12,
+    # each charged 16 * (1 + 2 * 12) = 400 bytes; the search passes the
+    # half-word check, so only the words' bytes refuse it
+    v4 = builtin_library().algebras["V4"]
+    subs = [generate_subuniverse(v4, (i,)) for i in (1, 2, 3)]
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    monkeypatch.setattr(kernel_search, "MAX_WORD_BYTES", 60 * 400 - 1)
+    with pytest.raises(ValidationError,
+                       match="finds at least 60 kernel words .* the limit of"
+                             " 23,999 bytes; lower the word bound"):
+        ternary_kernel_words(subs, 12)
+    code, out, err = _run(capsys, "commutator", "ternary", "--algebra",
+                          "V4", "--sub", "b", "--sub", "a", "--sub", "ab",
+                          "--strategy", "word-oracle", "--word-bound", "12")
+    assert code == 2 and out == ""
+    assert "finds at least 60 kernel words" in err
+    assert kernel_search._WORD_CACHE == {}
+    monkeypatch.setattr(kernel_search, "MAX_WORD_BYTES", 60 * 400)
+    assert len(ternary_kernel_words(subs, 12).starts) == 60
 
 
 # ---------------------------------------------------------------------------

@@ -324,12 +324,25 @@ def test_smith_symmetry_and_meet_bound():
 
 
 def test_smith_refuses_an_oversized_matrix():
-    # the matrix algebra of a 90-element chain lives in its fourth power,
-    # 65,610,000 rows; a chain is not a group, so it needs that matrix
+    # the matrix algebra of a 90-element carrier lives in its fourth power,
+    # 65,610,000 rows; a chain whose imp is its meet is neither a group nor
+    # a Heyting semilattice, so it needs that matrix
+    chain = chain_hslat(90)
+    alg = FinAlgebra(chain.signature, 90,
+                     {**chain.tables, "imp": chain.tables["meet"]})
+    assert core._heyting_tables(alg) is None
+    nabla = generate_congruence(alg, [(0, 89)])
+    with pytest.raises(ValidationError, match="65,610,000 rows"):
+        smith(alg, nabla, nabla)
+
+
+def test_smith_on_a_heyting_semilattice_needs_no_matrix_above_order_64():
     chain = chain_hslat(90)
     nabla = generate_congruence(chain, [(0, 89)])
-    with pytest.raises(ValidationError, match="65,610,000 rows"):
-        smith(chain, nabla, nabla)
+    theta = generate_congruence(chain, [(45, 89)])   # the filter above 45
+    assert nabla.num_blocks == 1 and theta.num_blocks == 46
+    assert smith(chain, nabla, nabla).block_id == nabla.block_id
+    assert smith(chain, nabla, theta).block_id == theta.block_id
 
 
 def test_smith_on_a_group_needs_no_matrix_above_order_64():
@@ -389,6 +402,25 @@ def test_group_routes_match_the_worklist_and_the_fixpoint(monkeypatch, lib):
             Congruence(D, theta.block_id)  # canonical and compatible
             want = commutators._smith_fixpoint(D, R, S)
             assert theta.block_id == want.block_id, (key, R, S)
+
+
+def test_smith_on_heyting_semilattices_matches_the_fixpoint(lib):
+    # Heyting semilattices form a congruence-distributive variety, so
+    # [R, S] is R ∧ S; checked against the D^4 fixpoint on every
+    # congruence pair of every Heyting catalogue key
+    pairs = 0
+    for key in sorted(lib.algebras):
+        if lib.algebra_profile[key] != "hslat":
+            continue
+        D = lib.algebra(key)
+        assert core._heyting_tables(D) is not None, key
+        for R, S in itertools.product(congruences(D), repeat=2):
+            theta = smith(D, R, S)
+            Congruence(D, theta.block_id)  # canonical and compatible
+            want = commutators._smith_fixpoint(D, R, S)
+            assert theta.block_id == want.block_id, (key, R, S)
+            pairs += 1
+    assert pairs == 200
 
 
 def test_smith_is_huq_on_every_congruence_pair(lib):

@@ -12,11 +12,12 @@ from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
                          generate_congruence, generate_subuniverse,
                          hom_from_table, identity_hom, image_sub, kernel_sub,
                          power_closure, product, pullback)
+from commwb import commutators
 from commwb.commutators import (_resolve_ternary_strategy, higgins_ternary,
-                                normalise)
+                                normalise, smith)
 from commwb.sweeps import congruences, cyclic_subgroups, subgroups
-from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
-                              symmetric_group)
+from commwb.varieties import (chain_hslat, cyclic_group, diamond_hslat,
+                              dihedral_group, symmetric_group)
 from conftest import (brute_generated_subgroup, brute_congruences,
                       naive_closure)
 from sweep_inputs import library_algebras
@@ -742,3 +743,76 @@ def test_the_group_check_is_sliced_and_bounded(monkeypatch):
     monkeypatch.setattr(core, "MAX_CLOSURE_KEYS", 60 ** 3 - 1)
     object.__setattr__(z60, "tables", {})
     assert not core._group_check(z60)
+
+
+# ---------------------------------------------------------------------------
+# the Heyting check
+
+
+def _not_quite_heyting():
+    """Tables that each break one rule of the Heyting check and pass the
+    others."""
+    chain3 = chain_hslat(3)
+    sig, meet, imp = chain3.signature, chain3.tables["meet"], \
+        chain3.tables["imp"]
+    # the left-zero band {0, 1} with the identity 2 adjoined: idempotent
+    # and associative with 2 as its top, and imp is its relative
+    # pseudocomplement for the preorder z <= y when zy = z, but 0 1 = 0
+    # and 1 0 = 1
+    band = FinAlgebra(sig, 3, {"meet": [[0, 0, 0], [1, 1, 1], [0, 1, 2]],
+                               "imp": [[2, 2, 2], [2, 2, 2], [0, 1, 2]],
+                               "top": 2})
+    # chain3 pointed at its middle element
+    middle = FinAlgebra(sig, 3, {"meet": meet, "imp": imp, "top": 1})
+    # chain3 with imp(0, 0) the middle element instead of the top
+    wrong = np.array(imp)
+    wrong[0, 0] = 1
+    one_entry = FinAlgebra(sig, 3, {"meet": meet, "imp": wrong, "top": 2})
+    # chain3 with the identity as a third operation
+    extra_sig = Signature((("meet", 2), ("id", 1), ("imp", 2), ("top", 0)),
+                          "top")
+    extra = FinAlgebra(extra_sig, 3, {"meet": meet, "id": np.arange(3),
+                                      "imp": imp, "top": 2})
+    return {"meet not commutative": band, "top not the top": middle,
+            "one wrong imp entry": one_entry, "an extra operation": extra}
+
+
+@pytest.mark.parametrize("case", sorted(_not_quite_heyting()))
+def test_a_table_that_is_not_heyting_takes_the_smith_fixpoint(monkeypatch,
+                                                              case):
+    alg = _not_quite_heyting()[case]
+    assert core._heyting_tables(alg) is None
+    fixpoint, calls = commutators._smith_fixpoint, []
+    monkeypatch.setattr(commutators, "_smith_fixpoint",
+                        lambda *args: calls.append(args) or fixpoint(*args))
+    congs = congruences(alg)
+    for R, S in itertools.product(congs, repeat=2):
+        assert smith(alg, R, S).block_id == fixpoint(alg, R, S).block_id
+    assert len(calls) == len(congs) ** 2
+
+
+def test_the_heyting_check_reads_the_tables_not_the_names():
+    # diamond with renamed operations, imp listed before meet
+    diamond = diamond_hslat()
+    sig = Signature((("to", 2), ("and", 2), ("one", 0)), "one")
+    alg = FinAlgebra(sig, 4, {"to": diamond.tables["imp"],
+                              "and": diamond.tables["meet"], "one": 3})
+    meet, imp = core._heyting_tables(alg)
+    assert meet is alg.tables["and"] and imp is alg.tables["to"]
+    assert core._heyting_tables(cyclic_group(4)) is None
+
+
+def test_the_heyting_check_is_sliced_and_bounded(monkeypatch):
+    chain60 = chain_hslat(60)   # 216,000 triples for each n^3 rule
+    monkeypatch.setattr(core, "_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        assert core._heyting_check(chain60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 17
+    # n^3 above the closure limit: not Heyting, and no table is read
+    monkeypatch.setattr(core, "MAX_CLOSURE_KEYS", 60 ** 3 - 1)
+    object.__setattr__(chain60, "tables", {})
+    assert core._heyting_check(chain60) is None

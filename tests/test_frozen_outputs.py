@@ -62,6 +62,8 @@ CLI_CALLS = (
      "--cong", "e~(123)"),
     ("commutator", "smith", "--algebra", "Z6", "--cong", "0~3",
      "--cong", "0~2"),
+    ("commutator", "smith", "--algebra", "chain3xchain3",
+     "--cong", "(1/2,1)~(1,1)", "--cong", "(1/2,1/2)~(1,1)"),
     ("commutator", "ternary", "--algebra", "S3", "--sub", "(12)",
      "--sub", "(12)", "--sub", "(123)"),
     ("commutator", "ternary", "--algebra", "S3", "--sub", "(12)",

@@ -1,8 +1,11 @@
 """Subgroup/congruence enumeration sweeps and the triple sampler."""
 
+import numpy as np
 import pytest
 
-from commwb.core import ValidationError, generate_subuniverse
+from commwb import sweeps
+from commwb.core import (ValidationError, generate_congruence,
+                         generate_subuniverse)
 from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
                            subgroups)
 from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
@@ -72,6 +75,32 @@ def test_congruence_enumeration_matches_brute_partitions(lib):
         got = {theta.block_id for theta in congruences(alg)}
         assert got == set(brute_congruences(alg))
         assert len(got) == want, alg.name
+
+
+def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
+        monkeypatch, lib):
+    # the sweep generates the principal congruences of the pairs (e, g)
+    # only, and must still find every normal subgroup's coset partition
+    principal = []
+
+    def generate(algebra, pairs):
+        if len(pairs) == 1:
+            principal.append(pairs[0])
+        return generate_congruence(algebra, pairs)
+
+    monkeypatch.setattr(sweeps, "generate_congruence", generate)
+    for key, alg in library_algebras(lib, "groups"):
+        mul, inv = alg.tables["mul"], alg.tables["inv"]
+        g = np.arange(alg.size)[:, None]
+        want = set()
+        for N in subgroups(alg):
+            m = np.asarray(N.members)
+            if set(mul[mul[g, m], inv[g]].ravel().tolist()) <= set(N.members):
+                want.add(tuple(mul[:, m].min(axis=1).tolist()))
+        principal.clear()
+        assert {t.block_id for t in congruences(alg)} == want, key
+        e = alg.basepoint
+        assert principal == [(e, x) for x in range(alg.size) if x != e], key
 
 
 def test_join_subs_is_the_generated_join():
