@@ -48,23 +48,22 @@ The search emits its words as rows of syllable codes, (f + 1) << b | x
 for b the bits of the largest local element and 0 for the padding, one
 column per position.  Packed into as few int64 words as hold them, the
 rows sort lexicographically, each word before its extensions.  The
-returned buffer also carries each record's start offset as ``starts``
-and the sorted code matrix as ``codes``, so a caller folds all records at
-once without walking the buffer.
+returned buffer also carries the sorted code matrix as ``codes``, so a
+caller folds all records at once without walking the buffer.
 
 Two facts spare most searches.  With a trivial factor, deleting it leaves
 every word as it is, so only the empty word lies in the kernel: the answer
 is one shared empty buffer, given before the size check and never cached.
 And permuting the factors only renames the factor ids in the words.  So a
 search runs once per multiset of local tables, in ``_search_order``:
-sorted by (order, table bytes).  The word oracle asks in that order and
-renames factor ids on the codes it reads, so it never needs another
-buffer.  A direct caller that asks in another order gets the search's
-codes renamed and sorted again, byte for byte what a search in its order
-gives.  Every buffer is cached, keyed by (table bytes, orders, bound) in
-its order, so a repeated triple is one lookup.  The cache keeps at most
-``MAX_CACHE_BYTES`` of records, offsets and codes, dropping the oldest
-buffer with both.
+sorted by (order, table bytes), and its buffer is cached under (table
+bytes, orders, bound) in that order, so a repeated triple is one lookup.
+The cache (``core._Cache``) keeps at most ``MAX_CACHE_BYTES`` of records
+and codes, dropping the oldest buffer first.  The word oracle asks in the
+search's order and renames factor ids on the codes it reads.  A caller in
+another order gets the cached codes renamed and sorted again, byte for
+byte what a search in its order gives; that buffer is made at each call
+and not cached.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Subuniverse, ValidationError, _require_group
+from .core import Subuniverse, ValidationError, _Cache, _kept, _require_group
 
 __all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words"]
 
@@ -368,11 +367,10 @@ def _search(tab: _Tables, max_len: int) -> np.ndarray:
 
 
 class _Records(np.ndarray):
-    """A flat record buffer that also carries ``starts``, the offset of each
-    record in it, and ``codes``, the same records as a code matrix: one row
-    per record and one column per syllable position."""
+    """A flat record buffer that also carries ``codes``, the same records
+    as a code matrix: one row per record and one column per syllable
+    position."""
 
-    starts: np.ndarray
     codes: np.ndarray
 
 
@@ -401,7 +399,7 @@ def _lex_order(codes: np.ndarray, xbits: int) -> np.ndarray:
 
 def _flatten(codes: np.ndarray, xbits: int) -> _Records:
     """Flat record buffer of code rows, lexicographically ordered, with
-    their offsets and sorted codes."""
+    their sorted codes."""
     # the padding 0 sorts below every syllable code, so each word comes
     # before its extensions
     codes = codes[_lex_order(codes, xbits)]
@@ -411,17 +409,15 @@ def _flatten(codes: np.ndarray, xbits: int) -> _Records:
     recs[:, 0] = lengths
     recs[:, 1::2] = (wide >> xbits) - 1
     recs[:, 2::2] = wide & (1 << xbits) - 1
-    sizes = 1 + 2 * lengths
-    return _frozen(recs[np.arange(recs.shape[1]) < sizes[:, None]],
-                   np.cumsum(sizes) - sizes, codes)
+    return _frozen(recs[np.arange(recs.shape[1]) <= 2 * lengths[:, None]],
+                   codes)
 
 
-def _frozen(buf: np.ndarray, starts: np.ndarray, codes: np.ndarray
-            ) -> _Records:
-    """``buf`` as a read-only ``_Records`` with its offsets and codes."""
+def _frozen(buf: np.ndarray, codes: np.ndarray) -> _Records:
+    """``buf`` as a read-only ``_Records`` with its codes."""
     buf = buf.view(_Records)
-    buf.starts, buf.codes = starts, codes
-    for a in (buf, starts, codes):
+    buf.codes = codes
+    for a in (buf, codes):
         a.setflags(write=False)
     return buf
 
@@ -443,17 +439,16 @@ def _renamed(buf: _Records, perm, xbits: int) -> _Records:
 # word as it is.  Built without ``_flatten``, so that importing the module
 # runs no cast from the narrow codes: numpy's first such cast costs the
 # process about 64 KB of set-up, then on top of the import's peak.
-_NO_WORDS = _frozen(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+_NO_WORDS = _frozen(np.zeros(0, dtype=np.int64),
                     np.zeros((0, 1), dtype=np.uint8))
 
-# Bytes of records, start offsets and codes the word cache keeps, oldest
-# dropped first.  A word-oracle sweep over all subgroup triples of D4 and
-# Q8 plus ten cold searches up to factor orders (8, 8, 16), at bound 10,
-# runs 46 searches and keeps their 46 buffers, 19.3 MiB.  Asking
-# ``ternary_kernel_words`` for each of those triples in its own order adds
-# one renamed buffer per order: 131 buffers, 40.9 MiB.
+# Bytes of records and codes the word cache keeps, oldest dropped first.
+# A word-oracle sweep over all subgroup triples of D4 and Q8 plus ten cold
+# searches up to factor orders (8, 8, 16), at bound 10, runs 46 searches
+# and keeps their 46 buffers, 18.5 MiB.
 MAX_CACHE_BYTES = 1 << 26
-_WORD_CACHE: dict = {}
+_WORD_CACHE = _Cache(lambda: MAX_CACHE_BYTES,
+                     lambda key, buf: buf.nbytes + buf.codes.nbytes)
 
 
 def _local_order(sub: Subuniverse) -> np.ndarray:
@@ -466,15 +461,17 @@ def _local_order(sub: Subuniverse) -> np.ndarray:
 def _local_group_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
     """The multiplication table of ``sub`` on local indices 0..k-1, where
     local index i is ``_local_order(sub)[i]``, and k; kept on ``sub``."""
-    if "_local_tables" not in sub.__dict__:
-        mul, _ = _require_group(sub.parent, "the word oracle")
-        m = _local_order(sub)
-        back = np.zeros(sub.parent.size, dtype=np.int64)
-        back[m] = np.arange(len(m))
-        table = back[mul[m[:, None], m]]
-        table.setflags(write=False)
-        object.__setattr__(sub, "_local_tables", (table, len(m)))
-    return sub._local_tables
+    return _kept(sub, "_local_tables", _local_tables)
+
+
+def _local_tables(sub: Subuniverse) -> tuple[np.ndarray, int]:
+    mul, _ = _require_group(sub.parent, "the word oracle")
+    m = _local_order(sub)
+    back = np.zeros(sub.parent.size, dtype=np.int64)
+    back[m] = np.arange(len(m))
+    table = back[mul[m[:, None], m]]
+    table.setflags(write=False)
+    return table, len(m)
 
 
 def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
@@ -483,34 +480,30 @@ def ternary_kernel_words(subs: tuple[Subuniverse, Subuniverse, Subuniverse],
     local multiplication tables of three subgroups (``_local_order``).
 
     Record format: length L followed by L (factor, local element) pairs.
-    The buffer's ``starts`` holds the offset of each record and its
-    ``codes`` the records as a code matrix (``_Records``).  With a
-    trivial factor the answer is the shared empty buffer, found without a
-    search.  Otherwise raises ``ValidationError`` when the deepest stored
-    half-word level would exceed ``MAX_HALF_WORDS`` rows, a deletion
-    word would not fit a 64-bit key, or the words found would take more
-    than ``MAX_WORD_BYTES`` as records.
+    The buffer's ``codes`` holds the records as a code matrix
+    (``_Records``), one row per record.  With a trivial factor the answer
+    is the shared empty buffer, found without a search.  Otherwise raises
+    ``ValidationError`` when the deepest stored half-word level would
+    exceed ``MAX_HALF_WORDS`` rows, a deletion word would not fit a 64-bit
+    key, or the words found would take more than ``MAX_WORD_BYTES`` as
+    records.  Factors in the order of their search (``_search_order``)
+    get the cached buffer; in another order, the search's records renamed,
+    made anew at each call.
     """
     tabs, sizes = zip(*(_local_group_tables(s) for s in subs))
     max_len = int(max_len)
     if 1 in sizes or max_len < 2:
         return _NO_WORDS
-    key = (tuple(t.tobytes() for t in tabs), sizes, max_len)
-    hit = _WORD_CACHE.get(key)
-    if hit is not None:
-        return hit
     # permuting the factors only renames the factor ids of the words, so
     # one search serves every order
     perm = _search_order(tabs, sizes)
-    canon = (tuple(key[0][i] for i in perm), tuple(sizes[i] for i in perm),
-             max_len)
-    buf = _WORD_CACHE.get(canon)
+    key = (tuple(tabs[i].tobytes() for i in perm),
+           tuple(sizes[i] for i in perm), max_len)
+    buf = _WORD_CACHE.get(key)
     if buf is None:
-        tables = _search_tables([tabs[i] for i in perm], canon[1], max_len)
-        buf = _remember(canon, _search(tables, max_len))
-    if canon != key:
-        buf = _remember(key, _renamed(buf, perm, _code_bits(sizes)))
-    return buf
+        tables = _search_tables([tabs[i] for i in perm], key[1], max_len)
+        buf = _WORD_CACHE.put(key, _search(tables, max_len))
+    return buf if perm == [0, 1, 2] else _renamed(buf, perm, _code_bits(sizes))
 
 
 def _search_order(tabs, sizes) -> list:
@@ -542,18 +535,3 @@ def _search_tables(tabs, sizes: tuple, max_len: int) -> _Tables:
         mul[i, :sizes[i], :sizes[i]] = t
         inv[i, :sizes[i]] = np.argmin(t, axis=1)
     return _Tables(mul, inv, np.asarray(sizes), xbits)
-
-
-def _remember(key: tuple, buf: _Records) -> _Records:
-    """Cache ``buf`` under ``key``, dropping the oldest buffers over
-    ``MAX_CACHE_BYTES``."""
-    _WORD_CACHE[key] = buf
-    held = sum(map(_held, _WORD_CACHE.values()))
-    while held > MAX_CACHE_BYTES:
-        held -= _held(_WORD_CACHE.pop(next(iter(_WORD_CACHE))))
-    return buf
-
-
-def _held(buf: _Records) -> int:
-    """Bytes of a cached buffer: its records, offsets and codes."""
-    return buf.nbytes + buf.starts.nbytes + buf.codes.nbytes

@@ -371,7 +371,7 @@ def _ternary_word_oracle(D, mul, K, L, M, bound: int) -> CommutatorReport:
     for f, sub in enumerate(subs):
         to_parent[f + 1, :len(sub)] = _local_order(sub)
     to_parent = to_parent.ravel()
-    vals = np.full(len(words.starts), D.basepoint, dtype=np.int64)
+    vals = np.full(len(words.codes), D.basepoint, dtype=np.int64)
     for col in to_parent[rename][words.codes.T]:
         vals = mul[vals, col]
     hit = np.flatnonzero(vals != D.basepoint)

@@ -14,15 +14,13 @@ operation.  On a group, congruences need no closure in a power at all:
 ``generate_congruence`` takes the cosets of a normal closure
 (``_normal_cosets``).  ``_heyting_tables`` decides the same way, from
 the tables and once per algebra, whether an algebra is a Heyting
-semilattice, for ``smith``'s meet route.  A bounded memo sits in front
-of the engine: a
-closure asked again with the same factor algebras (the same objects) and
-the same set of seed rows returns the rows of the first call, read-only.
-The memo keeps at most ``MAX_MEMO_BYTES`` (rows, key bytes and a fixed
-charge per entry), dropping its oldest entry first; the fill-in search's
-derivations are never memoized.  Each ``Hom`` remembers its
-image: ``image_sub`` checks it as a subuniverse on the first call and
-returns the same object after, and a failed check is not remembered.
+semilattice, for ``smith``'s meet route.  ``_kept`` keeps these results
+on their object; one whose computation raises, as ``image_sub``'s check
+of an image as a subuniverse may, is not kept.  A ``_Cache``, the memo,
+sits in front of the engine: a closure asked again with the same factor
+algebras (the same objects) and the same set of seed rows returns the
+rows of the first call, read-only, within ``MAX_MEMO_BYTES`` (oldest out
+first); the fill-in search's derivations are never memoized.
 
 Inputs are checked where they come in: the public constructors, files
 and the CLI.  Results the engine builds closed by construction (generated
@@ -197,11 +195,7 @@ class Hom:
     violations: tuple = ()
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64)
-        if m.shape != (self.dom.size,):
-            raise ValidationError(f"map has shape {m.shape}, expected ({self.dom.size},)")
-        if m.size and (m.min() < 0 or m.max() >= self.cod.size):
-            raise ValidationError("map value out of range")
+        m = _map_array(self.dom, self.cod, self.map)
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
 
@@ -409,9 +403,8 @@ class SpanWitness:
 def generate_subuniverse(algebra: FinAlgebra, gens: Iterable[int]) -> Subuniverse:
     """Least subuniverse containing ``gens`` and the basepoint."""
     gens = np.fromiter(gens, dtype=np.int64)
-    if _out_of_range(gens, algebra.size):
-        bad = gens[(gens < 0) | (gens >= algebra.size)]
-        raise ValidationError(f"generator {bad[0]} out of range")
+    if (bad := _out_of_range(gens, algebra.size)) is not None:
+        raise ValidationError(f"generator {bad} out of range")
     rows = _closure((algebra,), gens[:, None])
     # key order: sorted and distinct, with the constants
     return Subuniverse._trusted(algebra, tuple(rows[:, 0].tolist()))
@@ -550,14 +543,10 @@ def hom_violations(dom: FinAlgebra, cod: FinAlgebra,
                    mapping: Sequence[int]) -> list[tuple]:
     """All (op, args, mapped-value, expected-value) preservation failures."""
     _check_same_signature(dom, cod)
-    m = np.asarray(mapping, dtype=np.int64)
+    m = _map_array(dom, cod, mapping)
     out: list[tuple] = []
     for op, k in dom.signature.ops:
         td, tc = dom.tables[op], cod.tables[op]
-        if k == 0:
-            if int(m[td[()]]) != int(tc[()]):
-                out.append((op, (), int(m[td[()]]), int(tc[()])))
-            continue
         lhs = m[td]
         rhs = tc[np.ix_(*([m] * k))]
         bad = np.argwhere(lhs != rhs)
@@ -565,6 +554,19 @@ def hom_violations(dom: FinAlgebra, cod: FinAlgebra,
             args = tuple(int(x) for x in args)
             out.append((op, args, int(lhs[args]), int(rhs[args])))
     return out
+
+
+def _map_array(dom: FinAlgebra, cod: FinAlgebra, mapping, what="map"):
+    """``mapping`` as int64, checked to send each element of dom to one of
+    cod before anything reads it; ``what`` names it in the error."""
+    m = np.asarray(mapping, dtype=np.int64)
+    if m.shape != (dom.size,):
+        got = len(m) if m.ndim == 1 else f"shape {m.shape}"
+        raise ValidationError(f"{what}: expected {dom.size} entries, got {got}")
+    if (bad := _out_of_range(m, cod.size)) is not None:
+        raise ValidationError(f"{what}: value {bad} out of range for a"
+                              f" codomain of {cod.size} elements")
+    return m
 
 
 def check_hom(dom: FinAlgebra, cod: FinAlgebra, mapping: Sequence[int]) -> Hom:
@@ -606,11 +608,8 @@ def kernel_sub(f: Hom) -> Subuniverse:
 def image_sub(f: Hom) -> Subuniverse:
     """The image of f, checked as a subuniverse on the first call (a map
     need not preserve the operations) and kept on f after that."""
-    image = f.__dict__.get("_image")
-    if image is None:
-        image = Subuniverse(f.cod, tuple(set(f.map.tolist())))
-        object.__setattr__(f, "_image", image)
-    return image
+    return _kept(f, "_image",
+                 lambda f: Subuniverse(f.cod, tuple(set(f.map.tolist()))))
 
 
 def pullback(f: Hom, g: Hom,
@@ -660,15 +659,16 @@ def power_closure(algebra: FinAlgebra, seeds: Iterable[Sequence[int]],
     if set(map(len, seeds)) - {width}:
         raise ValidationError("seed width mismatch")
     rows = np.asarray(seeds, dtype=np.int64).reshape(-1, width)
-    if _out_of_range(rows, algebra.size):
+    if _out_of_range(rows, algebra.size) is not None:
         raise ValidationError("seed out of range")
     return _closure((algebra,) * width, rows)
 
 
-def _out_of_range(values: np.ndarray, size: int) -> bool:
-    """Whether any int64 value lies outside 0..size-1 (read unsigned, a
+def _out_of_range(values: np.ndarray, size: int) -> Optional[int]:
+    """The first int64 value outside 0..size-1, or None (read unsigned, a
     negative value is above every size)."""
-    return bool(values.size) and int(values.view(np.uint64).max()) >= size
+    bad = values[values.view(np.uint64) >= size]
+    return int(bad.flat[0]) if bad.size else None
 
 
 def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
@@ -697,12 +697,15 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
         return _semi_naive(factors, digits, seed_keys, derivations=True)
     # formed only now: out-of-range rows could alias in-range keys
     memo_key = (tuple(map(id, factors)), _sorted_distinct(seed_keys).tobytes())
-    hit = _MEMO.get(memo_key, factors)
-    if hit is not None:
-        return hit
+    # an entry holds its factors, so no id in a live key is reused
+    hit = _MEMO.get(memo_key)
+    if hit is not None and all(a is b for a, b in zip(hit[0], factors)):
+        return hit[1]
     one = all(a is factors[0] for a in factors)
     route = _right_closure if one and _group_tables(factors[0]) else _semi_naive
-    return _MEMO.put(memo_key, factors, route(factors, digits, seed_keys))
+    rows = route(factors, digits, seed_keys)
+    rows.setflags(write=False)
+    return _MEMO.put(memo_key, (tuple(factors), rows))[1]
 
 
 def _group_tables(algebra: FinAlgebra):
@@ -711,9 +714,7 @@ def _group_tables(algebra: FinAlgebra):
     is associative with the basepoint as two-sided identity and inv as
     two-sided inverse.  Checked once and kept on the algebra; with n^3
     above ``MAX_CLOSURE_KEYS``, not checked and None."""
-    if "_group" not in algebra.__dict__:
-        object.__setattr__(algebra, "_group", _group_check(algebra))
-    return algebra._group
+    return _kept(algebra, "_group", _group_check)
 
 
 def _require_group(algebra: FinAlgebra, what: str):
@@ -748,9 +749,7 @@ def _heyting_tables(algebra: FinAlgebra):
     top, and imp is its relative pseudocomplement, z <= imp(x, y) exactly
     when meet(z, x) <= y.  Checked once and kept on the algebra; with n^3
     above ``MAX_CLOSURE_KEYS``, not checked and None."""
-    if "_heyting" not in algebra.__dict__:
-        object.__setattr__(algebra, "_heyting", _heyting_check(algebra))
-    return algebra._heyting
+    return _kept(algebra, "_heyting", _heyting_check)
 
 
 def _heyting_check(algebra: FinAlgebra):
@@ -920,7 +919,7 @@ def _key_parts(factors: Sequence[FinAlgebra], digits: np.ndarray):
     algebra keeps these on the algebra, one set per width; at width 1 the
     lookups are the algebra's own tables."""
     one = factors[0] if all(a is factors[0] for a in factors) else None
-    kept = one.__dict__.setdefault("_key_parts", {}) if one else {}
+    kept = _kept(one, "_key_parts", lambda _: {}) if one else {}
     if len(factors) not in kept:
         sig, sizes = factors[0].signature.ops, digits[1][:, None]
         lookups = {op: factors[0].tables[op].ravel() if len(factors) == 1
@@ -935,47 +934,48 @@ def _key_parts(factors: Sequence[FinAlgebra], digits: np.ndarray):
     return kept[len(factors)]
 
 
-class _ClosureMemo:
-    """Closure rows by (ids of the factors, sorted seed keys).
+class _Cache:
+    """Values by key, each charged ``cost(key, value)`` bytes, with
+    ``held`` the running total.  Past ``limit()``, read at each ``put``,
+    the oldest entries go first; a value charged above it on its own is
+    returned but not kept, and the other entries stay."""
 
-    An entry holds its factors, so no id in a live key is reused; a hit
-    also checks them by identity.  Entries are charged their rows, their
-    key bytes and ``_MEMO_ENTRY_BYTES``; past ``MAX_MEMO_BYTES`` the
-    oldest go first.  ``held`` is the running total.
-    """
+    def __init__(self, limit, cost):
+        self.limit, self.cost = limit, cost
+        self.clear()
 
-    def __init__(self):
-        self.entries: dict = {}
-        self.held = 0
+    def get(self, key):
+        return self.entries.get(key)
 
-    def get(self, key, factors) -> Optional[np.ndarray]:
-        entry = self.entries.get(key)
-        if entry is None or any(a is not b for a, b in zip(entry[0], factors)):
-            return None
-        return entry[1]
-
-    def put(self, key, factors, rows: np.ndarray) -> np.ndarray:
-        rows.setflags(write=False)
-        cost = _memo_cost(key, rows)
-        if cost > MAX_MEMO_BYTES:
-            return rows
-        self.entries[key] = (tuple(factors), rows)
-        self.held += cost
-        while self.held > MAX_MEMO_BYTES:
-            old_key = next(iter(self.entries))
-            self.held -= _memo_cost(old_key, self.entries.pop(old_key)[1])
-        return rows
+    def put(self, key, value):
+        cost, limit = self.cost(key, value), self.limit()
+        if cost <= limit:
+            if key in self.entries:
+                self.held -= self.cost(key, self.entries.pop(key))
+            self.entries[key] = value
+            self.held += cost
+            while self.held > limit:
+                old = next(iter(self.entries))
+                self.held -= self.cost(old, self.entries.pop(old))
+        return value
 
     def clear(self) -> None:
-        self.entries.clear()
-        self.held = 0
+        self.entries, self.held = {}, 0
 
 
-def _memo_cost(key, rows: np.ndarray) -> int:
-    return rows.nbytes + len(key[1]) + _MEMO_ENTRY_BYTES
+def _kept(obj, name: str, make):
+    """The value kept on ``obj`` under ``name``, made by ``make(obj)`` and
+    set on the (frozen) object the first time; a ``make`` that raises
+    keeps nothing."""
+    kept = obj.__dict__
+    if name not in kept:
+        object.__setattr__(obj, name, make(obj))
+    return kept[name]
 
 
-_MEMO = _ClosureMemo()
+# (factors, closure rows) by (ids of the factors, sorted seed keys)
+_MEMO = _Cache(lambda: MAX_MEMO_BYTES, lambda key, entry:
+               entry[1].nbytes + len(key[1]) + _MEMO_ENTRY_BYTES)
 
 
 def _sorted_distinct(values: np.ndarray, first: bool = False):

@@ -46,7 +46,8 @@ import numpy as np
 from .commutators import WeightedCospan
 from .conditions import AdmissibleDiagram
 from .core import (FinAlgebra, Hom, PointObject, Signature, ValidationError,
-                   check_hom, generate_congruence, hom_from_table)
+                   _map_array, check_hom, generate_congruence,
+                   hom_from_table)
 from .varieties import VarietyProfile, builtin_library
 
 __all__ = [
@@ -263,17 +264,15 @@ def _role_algebras(obj: dict, names: tuple[str, ...], resolve,
     return out
 
 
-def _role_hom(obj: dict, role: str, dom: FinAlgebra, cod: FinAlgebra,
+def _role_hom(obj: dict, key: str, dom: FinAlgebra, cod: FinAlgebra,
               where: str, strict: bool = True) -> Hom:
-    flat = _int_list(_need(_need(obj, "homs", where), role,
-                           f"{where}.homs"), f"{where}.homs.{role}")
-    if len(flat) != dom.size:
-        raise ValidationError(
-            f"{where}.homs.{role}: expected {dom.size} entries, got"
-            f" {len(flat)}")
-    if strict:
-        return check_hom(dom, cod, flat)
-    return hom_from_table(dom, cod, flat)
+    """The map ``obj[key]`` from dom to cod, its length and range checked
+    under its field name; with ``strict`` a homomorphism, else kept with
+    its violations."""
+    field = f"{where}.{key}"
+    flat = _int_list(_need(obj, key, where), field)
+    _map_array(dom, cod, flat, field)
+    return (check_hom if strict else hom_from_table)(dom, cod, flat)
 
 
 def diagram_from_json(obj: dict, resolve,
@@ -282,7 +281,8 @@ def diagram_from_json(obj: dict, resolve,
     homs = {}
     for role, dn, cn in DIAGRAM_ROLES:
         # the comparison leg gamma may legitimately carry violations
-        homs[role] = _role_hom(obj, role, algs[dn], algs[cn], where,
+        homs[role] = _role_hom(_need(obj, "homs", where), role, algs[dn],
+                               algs[cn], f"{where}.homs",
                                strict=role != "gamma")
     return AdmissibleDiagram(name=str(obj.get("name", "")), **homs)
 
@@ -290,7 +290,8 @@ def diagram_from_json(obj: dict, resolve,
 def cospan_from_json(obj: dict, resolve,
                      where: str = "cospan") -> WeightedCospan:
     algs = _role_algebras(obj, ("X", "Y", "W", "D"), resolve, where)
-    homs = {role: _role_hom(obj, role, algs[dn], algs[cn], where)
+    homs = {role: _role_hom(_need(obj, "homs", where), role, algs[dn],
+                            algs[cn], f"{where}.homs")
             for role, dn, cn in COSPAN_ROLES}
     return WeightedCospan(name=str(obj.get("name", "")), **homs)
 
@@ -319,26 +320,17 @@ def reflection_from_json(obj: dict, resolve, where: str = "reflection"):
     """Returns ``(mode, p, carrier, R, S)`` ready for the instance checker."""
     mode = str(_need(obj, "mode", where))
     algs = _role_algebras(obj, ("E", "B", "T"), resolve, where)
-    p_flat = _int_list(_need(obj, "p", where), f"{where}.p")
-    if len(p_flat) != algs["E"].size:
-        raise ValidationError(f"{where}.p: expected {algs['E'].size}"
-                              f" entries, got {len(p_flat)}")
-    p = check_hom(algs["E"], algs["B"], p_flat)
-    carrier_json = _need(obj, "carrier", where)
+    p = _role_hom(obj, "p", algs["E"], algs["B"], where)
     if mode == "points":
-        proj_flat = _int_list(_need(carrier_json, "proj",
-                                    f"{where}.carrier"),
-                              f"{where}.carrier.proj")
-        sect_flat = _int_list(_need(carrier_json, "sect",
-                                    f"{where}.carrier"),
-                              f"{where}.carrier.sect")
-        proj = check_hom(algs["T"], algs["B"], proj_flat)
-        sect = check_hom(algs["B"], algs["T"], sect_flat)
-        carrier = PointObject(total=algs["T"], base=algs["B"],
-                              proj=proj, sect=sect)
+        points = _need(obj, "carrier", where)
+        carrier = PointObject(
+            total=algs["T"], base=algs["B"],
+            proj=_role_hom(points, "proj", algs["T"], algs["B"],
+                           f"{where}.carrier"),
+            sect=_role_hom(points, "sect", algs["B"], algs["T"],
+                           f"{where}.carrier"))
     else:
-        flat = _int_list(carrier_json, f"{where}.carrier")
-        carrier = check_hom(algs["T"], algs["B"], flat)
+        carrier = _role_hom(obj, "carrier", algs["T"], algs["B"], where)
     r = _pairs_to_congruence(algs["T"], _need(obj, "R", where),
                              f"{where}.R")
     s = _pairs_to_congruence(algs["T"], _need(obj, "S", where),

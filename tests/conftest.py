@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb import core
+from commwb import _kernel_search as kernel_search, core
 from commwb.varieties import builtin_library
 
 # Per-criterion verdict lines queued by tests/test_acceptance.py; the
@@ -39,6 +39,16 @@ def empty_closure_memo():
     """Each test starts with no closures remembered, so that the order of
     the tests cannot hide a fault of a cold closure."""
     core._MEMO.clear()
+
+
+@pytest.fixture
+def empty_word_cache(monkeypatch):
+    """An empty word cache with the module's limit and charge, for one
+    test; the module's own cache, warm, comes back after it."""
+    cache = kernel_search._WORD_CACHE
+    fresh = core._Cache(cache.limit, cache.cost)
+    monkeypatch.setattr(kernel_search, "_WORD_CACHE", fresh)
+    return fresh
 
 
 # ---------------------------------------------------------------------------

@@ -189,14 +189,13 @@ def test_word_oracle_refusal_stays_short_at_a_huge_bound(capsys):
     assert len(err) < 200
 
 
-def test_word_oracle_refuses_more_words_than_the_byte_limit(monkeypatch,
-                                                            capsys):
+def test_word_oracle_refuses_more_words_than_the_byte_limit(
+        monkeypatch, capsys, empty_word_cache):
     # the three order-2 subgroups of V4 have 60 kernel words at bound 12,
     # each charged 16 * (1 + 2 * 12) = 400 bytes; the search passes the
     # half-word check, so only the words' bytes refuse it
     v4 = builtin_library().algebras["V4"]
     subs = [generate_subuniverse(v4, (i,)) for i in (1, 2, 3)]
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     monkeypatch.setattr(kernel_search, "MAX_WORD_BYTES", 60 * 400 - 1)
     with pytest.raises(ValidationError,
                        match="finds at least 60 kernel words .* the limit of"
@@ -207,9 +206,9 @@ def test_word_oracle_refuses_more_words_than_the_byte_limit(monkeypatch,
                           "--strategy", "word-oracle", "--word-bound", "12")
     assert code == 2 and out == ""
     assert "finds at least 60 kernel words" in err
-    assert kernel_search._WORD_CACHE == {}
+    assert empty_word_cache.entries == {}
     monkeypatch.setattr(kernel_search, "MAX_WORD_BYTES", 60 * 400)
-    assert len(ternary_kernel_words(subs, 12).starts) == 60
+    assert len(ternary_kernel_words(subs, 12).codes) == 60
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,53 @@ def test_check_sh_and_reflect(capsys):
     code, report = _run_json(capsys, "check", "reflect", "--file",
                              os.path.join(FIXTURES, "reflect-basic.json"))
     assert code == 0 and report["result"]["instance_satisfies"] is True
+
+
+def _malformed_file(tmp_path, fixture, edit):
+    """The fixture file with ``edit`` applied to its JSON, written anew."""
+    with open(os.path.join(FIXTURES, fixture)) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _points_instance(obj, proj, sect):
+    obj["mode"], obj["carrier"] = "points", {"proj": proj, "sect": sect}
+
+
+@pytest.mark.parametrize("argv, fixture, edit, message", [
+    (("commutator", "weighted"), "s3-weighted-zero.json",
+     lambda o: o["homs"].__setitem__("x", [0, 9]),
+     ".homs.x: value 9 out of range for a codomain of 6 elements"),
+    (("check", "ssh"), "hslat-admissible.json",
+     lambda o: o["homs"].__setitem__("gamma", [0, 2, 2, 9]),
+     ".homs.gamma: value 9 out of range"),
+    (("check", "ssh"), "hslat-admissible.json",
+     lambda o: o["homs"].__setitem__("f", [0, 1]),
+     ".homs.f: expected 3 entries, got 2"),
+    (("check", "reflect"), "reflect-basic.json",
+     lambda o: o.__setitem__("p", [0, -1]),
+     ".p: value -1 out of range"),
+    (("check", "reflect"), "reflect-basic.json",
+     lambda o: o.__setitem__("carrier", [0, 1, 0]),
+     ".carrier: expected 4 entries, got 3"),
+    (("check", "reflect"), "reflect-basic.json",
+     lambda o: _points_instance(o, [0, 1, 0], [0, 2]),
+     ".carrier.proj: expected 4 entries, got 3"),
+    (("check", "reflect"), "reflect-basic.json",
+     lambda o: _points_instance(o, [0, 1, 0, 1], [0]),
+     ".carrier.sect: expected 2 entries, got 1"),
+], ids=["cospan-range", "diagram-range", "diagram-length", "p-range",
+        "carrier-length", "proj-length", "sect-length"])
+def test_a_malformed_map_in_a_file_exits_two(capsys, tmp_path, argv,
+                                             fixture, edit, message):
+    path = _malformed_file(tmp_path, fixture, edit)
+    code, out, err = _run(capsys, *argv, "--file", path)
+    assert code == 2 and out == ""
+    # the message names the file and the field
+    assert err.startswith(f"commwb: error: {path}{message}")
 
 
 def test_weighted_strategies_and_the_non_proper_cospan(capsys):

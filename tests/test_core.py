@@ -10,7 +10,8 @@ import commwb.core as core
 from commwb.core import (Congruence, FinAlgebra, Hom, Signature,
                          Subuniverse, ValidationError, check_hom,
                          generate_congruence, generate_subuniverse,
-                         hom_from_table, identity_hom, image_sub, kernel_sub,
+                         hom_from_table, hom_violations, identity_hom,
+                         image_sub, kernel_sub,
                          power_closure, product, pullback)
 from commwb import commutators
 from commwb.commutators import (_resolve_ternary_strategy, higgins_ternary,
@@ -64,6 +65,21 @@ def test_hom_from_table_non_strict_carries_violations():
     bad = hom_from_table(z4, z2, [0, 0, 1, 0])
     assert not bad.is_valid
     assert len(bad.violations) > 0
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ([0, 1, 0], "map: expected 4 entries, got 3"),
+    ([[0, 1], [0, 1]], r"map: expected 4 entries, got shape \(2, 2\)"),
+    ([0, 1, 0, 7], "map: value 7 out of range for a codomain of 2"),
+    ([0, 1, 0, -1], "map: value -1 out of range for a codomain of 2"),
+])
+def test_a_malformed_map_is_refused_before_it_is_read(mapping, message):
+    # each of these once indexed the tables with the raw map: an
+    # IndexError, or for -1 the false "does not preserve mul(0,3)"
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    for build in (check_hom, hom_from_table, hom_violations, Hom):
+        with pytest.raises(ValidationError, match=message):
+            build(z4, z2, mapping)
 
 
 def test_hom_map_is_read_only():
@@ -387,9 +403,11 @@ def test_closure_memo_drops_its_oldest_rows(monkeypatch):
     d4 = dihedral_group(4)
     seed_sets = [[(1, 0)], [(0, 2)], [(3, 5)]]
     rows = [power_closure(d4, s) for s in seed_sets]
-    keys = list(core._MEMO.entries)
-    costs = [core._memo_cost(k, r) for k, r in zip(keys, rows)]
-    assert len(keys) == 3 and core._MEMO.held == sum(costs)
+    entries = core._MEMO.entries
+    assert [r for _, r in entries.values()] == rows
+    costs = [r.nbytes + len(k[1]) + core._MEMO_ENTRY_BYTES
+             for k, r in zip(entries, rows)]
+    assert len(entries) == 3 and core._MEMO.held == sum(costs)
     # room for the last two entries only: the first one goes
     core._MEMO.clear()
     monkeypatch.setattr(core, "MAX_MEMO_BYTES", sum(costs[1:]))
@@ -433,6 +451,74 @@ def test_closure_memo_never_serves_derivations():
     core._MEMO.clear()
     core._closure((d4, d4), seeds, derivations=True)
     assert not core._MEMO.entries
+
+
+def _bytes_cache(limit: list):
+    """A cache of byte strings charged their length, limited by
+    ``limit[0]``."""
+    return core._Cache(lambda: limit[0], lambda key, value: len(value))
+
+
+def test_cache_drops_its_oldest_entries_by_charge():
+    limit = [10]
+    cache = _bytes_cache(limit)
+    for key, value in (("a", b"1234"), ("b", b"123"), ("c", b"12")):
+        assert cache.put(key, value) is value
+    assert list(cache.entries) == ["a", "b", "c"] and cache.held == 9
+    # 9 + 5 is over 10: "a" goes, which leaves 10
+    cache.put("d", b"12345")
+    assert list(cache.entries) == ["b", "c", "d"] and cache.held == 10
+    assert cache.get("a") is None and cache.get("d") == b"12345"
+    # the limit is read at each put: 11 over 6 drops "b", then "c"
+    limit[0] = 6
+    cache.put("e", b"1")
+    assert list(cache.entries) == ["d", "e"] and cache.held == 6
+
+
+def test_cache_refuses_a_value_above_the_limit_and_keeps_the_others():
+    limit = [10]
+    cache = _bytes_cache(limit)
+    cache.put("a", b"12")
+    cache.put("b", b"123")
+    big = b"x" * 11
+    assert cache.put("c", big) is big
+    assert list(cache.entries) == ["a", "b"] and cache.held == 5
+    # exactly the limit is kept, and drops the rest
+    cache.put("d", b"x" * 10)
+    assert list(cache.entries) == ["d"] and cache.held == 10
+
+
+def test_cache_held_is_the_sum_of_the_kept_charges_and_clear_empties_it():
+    limit = [10]
+    cache = _bytes_cache(limit)
+    cache.put("a", b"1234")
+    cache.put("b", b"12")
+    # a key put again is charged once, at its new value, as the newest
+    cache.put("a", b"1")
+    assert list(cache.entries) == ["b", "a"] and cache.held == 3
+    for i in range(40):
+        cache.put(i % 7, b"x" * (i * 5 % 12))
+        assert cache.held == sum(map(len, cache.entries.values())) <= 10
+    cache.clear()
+    assert cache.entries == {} and cache.held == 0
+    assert cache.get(0) is None
+
+
+def test_kept_makes_once_and_keeps_nothing_when_make_raises():
+    z4 = cyclic_group(4)
+    calls = []
+
+    def failing(alg):
+        calls.append("fail")
+        raise ValidationError("no")
+
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            core._kept(z4, "_probe", failing)
+    assert "_probe" not in z4.__dict__ and calls == ["fail", "fail"]
+    first = core._kept(z4, "_probe", lambda alg: calls.append(alg) or [1])
+    assert core._kept(z4, "_probe", failing) is first == [1]
+    assert calls == ["fail", "fail", z4]
 
 
 # ---------------------------------------------------------------------------

@@ -253,37 +253,47 @@ def test_engine_counts_frozen_at_bounds_11_and_12():
                         (Subuniverse(s3, range(6)), (18_750, 55_500))):
         for bound, count in zip((11, 12), counts):
             words = ternary_kernel_words((sub,) * 3, bound)
-            assert len(words.starts) == count
+            assert len(words.codes) == count
 
 
 def _held(buf):
-    """Bytes the word cache counts for a buffer: its records, offsets and
-    code matrix."""
-    return buf.nbytes + buf.starts.nbytes + buf.codes.nbytes
+    """Bytes the word cache counts for a buffer: its records and code
+    matrix."""
+    return buf.nbytes + buf.codes.nbytes
 
 
-def test_word_cache_drops_its_oldest_records(monkeypatch):
-    _, (c2, _, full) = _c2_c2_s3()
-    triples = [(c2, c2, full), (full, c2, c2), (c2, full, c2)]
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+def test_word_cache_drops_its_oldest_records(monkeypatch, empty_word_cache):
+    s3, (c2, _, full) = _c2_c2_s3()
+    c3 = Subuniverse(s3, (0, 3, 4))
+    # three multisets of tables, each asked for in its search order
+    triples = [(c2, c2, full), (c2, c2, c3), (c3, c3, full)]
     bufs = [ternary_kernel_words(t, max_len=10) for t in triples]
-    assert all(len(b) for b in bufs) and len(kernel_search._WORD_CACHE) == 3
+    assert all(len(b) for b in bufs) and len(empty_word_cache.entries) == 3
+    assert empty_word_cache.held == sum(map(_held, bufs))
     # room for the last two entries only: the first one goes
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    empty_word_cache.clear()
     monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
                         sum(map(_held, bufs[1:])))
     again = [ternary_kernel_words(t, max_len=10) for t in triples]
-    kept = list(kernel_search._WORD_CACHE.values())
+    kept = list(empty_word_cache.entries.values())
     assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
     assert all(np.array_equal(a, b) for a, b in zip(again, bufs))
     # a byte less: the code matrices count, so only the last entry stays
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
+    empty_word_cache.clear()
     monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
                         sum(map(_held, bufs[1:])) - 1)
     again = [ternary_kernel_words(t, max_len=10) for t in triples]
-    assert list(kernel_search._WORD_CACHE.values()) == [again[2]]
-    assert all(b.codes.dtype == np.uint8 and b.codes.shape == (150, 10)
-               for b in again)
+    assert list(empty_word_cache.entries.values()) == [again[2]]
+    assert [b.codes.shape for b in again] == [(150, 10), (60, 10), (600, 10)]
+    assert all(b.codes.dtype == np.uint8 for b in again)
+    # a buffer above the limit on its own is returned but not kept, and
+    # the buffers kept stay
+    empty_word_cache.clear()
+    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES",
+                        _held(bufs[0]) + _held(bufs[1]))
+    again = [ternary_kernel_words(t, max_len=10) for t in triples]
+    assert list(empty_word_cache.entries.values()) == again[:2]
+    assert np.array_equal(again[2], bufs[2])
 
 
 _SEARCH = kernel_search._search
@@ -304,7 +314,14 @@ def _fresh_search(subs, bound):
 
 def _same_buffer(got, want):
     return got.tobytes() == want.tobytes() and got.dtype == want.dtype \
-        and got.starts.tobytes() == want.starts.tobytes()
+        and got.codes.tobytes() == want.codes.tobytes() \
+        and got.codes.dtype == want.codes.dtype
+
+
+def _in_search_order(subs):
+    """Whether ``subs`` come in the factor order of their search."""
+    tabs, sizes = zip(*(kernel_search._local_group_tables(s) for s in subs))
+    return kernel_search._search_order(tabs, sizes) == [0, 1, 2]
 
 
 def test_a_search_whose_hashes_all_collide_finds_the_same_words(monkeypatch):
@@ -323,9 +340,8 @@ def test_a_search_whose_hashes_all_collide_finds_the_same_words(monkeypatch):
 
 
 @pytest.fixture
-def counted_searches(monkeypatch):
+def counted_searches(monkeypatch, empty_word_cache):
     """An empty word cache, and the list of the searches run from now."""
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     calls = []
 
     def counted(tab, max_len):
@@ -346,22 +362,27 @@ def _by_multiset(triples):
 
 @pytest.mark.parametrize("D", [dihedral_group(4), dicyclic_group(2),
                                symmetric_group(3)], ids=["D4", "Q8", "S3"])
-def test_word_cache_matches_a_fresh_search(D, counted_searches):
+def test_word_cache_matches_a_fresh_search(D, counted_searches,
+                                           empty_word_cache):
     # every ordered subgroup triple, through the cache, against the search
     # on its own order; the cache is emptied before each multiset of
     # tables, so its first order comes cold and the others from its
-    # canonical buffer
+    # search-order buffer.  A repeat in the search's order is the cached
+    # buffer; in another order it is renamed again and not cached.
     triples = list(itertools.product(subgroups(D), repeat=3))
     fresh = {}
     for group in _by_multiset(triples):
-        kernel_search._WORD_CACHE.clear()
+        empty_word_cache.clear()
         for subs in group:
             got = ternary_kernel_words(subs, 10)
             key = _tables_key(subs)
             if key not in fresh:
                 fresh[key] = _fresh_search(subs, 10)
             assert _same_buffer(got, fresh[key]), key
-            assert ternary_kernel_words(subs, 10) is got
+            again = ternary_kernel_words(subs, 10)
+            assert (again is got) == (_in_search_order(subs) or not len(got))
+            assert _same_buffer(again, got)
+        assert len(empty_word_cache.entries) <= 1
     # one search per multiset of nontrivial tables, none for the others
     assert len(counted_searches) == sum(
         all(len(s) > 1 for s in group[0]) for group in _by_multiset(triples))
@@ -395,17 +416,34 @@ def test_word_cache_matches_a_fresh_search_on_relabelled_samples(
         assert len(counted_searches) == before + 1
 
 
-def test_a_permuted_triple_whose_canonical_buffer_was_dropped(
-        counted_searches, monkeypatch):
+def test_a_permuted_triple_is_renamed_from_the_search_and_not_cached(
+        counted_searches, empty_word_cache):
     _, (c2, _, full) = _c2_c2_s3()
     canonical = ternary_kernel_words((c2, c2, full), 10)
-    # room for one buffer: caching the next order drops the canonical one
-    monkeypatch.setattr(kernel_search, "MAX_CACHE_BYTES", _held(canonical))
-    ternary_kernel_words((full, c2, c2), 10)
-    assert list(kernel_search._WORD_CACHE) == [
-        (_tables_key((full, c2, c2)), (6, 2, 2), 10)]
+    for order in ((full, c2, c2), (c2, full, c2)):
+        got = ternary_kernel_words(order, 10)
+        # the bytes of a search in that order, with no new search, made
+        # again at the next call
+        assert _same_buffer(got, _fresh_search(order, 10))
+        again = ternary_kernel_words(order, 10)
+        assert again is not got and _same_buffer(again, got)
+    assert list(empty_word_cache.entries) == [
+        (_tables_key((c2, c2, full)), (2, 2, 6), 10)]
+    assert list(empty_word_cache.entries.values())[0] is canonical
+    assert counted_searches == [(2, 2, 6)]
+
+
+def test_a_permuted_triple_whose_canonical_buffer_was_dropped(
+        counted_searches, empty_word_cache):
+    # once the search's buffer is dropped, another order searches again
+    # and caches the search-order buffer only
+    _, (c2, _, full) = _c2_c2_s3()
+    ternary_kernel_words((c2, c2, full), 10)
+    empty_word_cache.clear()
     got = ternary_kernel_words((c2, full, c2), 10)
     assert _same_buffer(got, _fresh_search((c2, full, c2), 10))
+    assert list(empty_word_cache.entries) == [
+        (_tables_key((c2, c2, full)), (2, 2, 6), 10)]
     assert counted_searches == [(2, 2, 6), (2, 2, 6)]
 
 
@@ -451,7 +489,9 @@ def test_each_multiset_of_factors_is_searched_once(counted_searches):
     c2, c3, six = (Subuniverse(s3, m) for m in ((0, 2), (0, 3, 4), range(6)))
     for subs in itertools.permutations((c2, c3, six)):
         first = ternary_kernel_words(subs, 10)
-        assert ternary_kernel_words(subs, 10) is first
+        again = ternary_kernel_words(subs, 10)
+        assert (again is first) == _in_search_order(subs)
+        assert _same_buffer(again, first)
     assert counted_searches == [(2, 3, 6)]
     # Z4 and V4 have the same order and different tables
     z4, v4, eight = (Subuniverse(d4, m)
@@ -461,7 +501,8 @@ def test_each_multiset_of_factors_is_searched_once(counted_searches):
     assert len(counted_searches) == 2
 
 
-def test_a_trivial_factor_gives_no_words_without_a_search(counted_searches):
+def test_a_trivial_factor_gives_no_words_without_a_search(
+        counted_searches, empty_word_cache):
     d8 = dihedral_group(8)
     one, full = Subuniverse(d8, (0,)), Subuniverse(d8, range(16))
     two = next(s for s in subgroups(d8) if len(s) == 2)
@@ -474,10 +515,10 @@ def test_a_trivial_factor_gives_no_words_without_a_search(counted_searches):
         ternary_kernel_words((two, full, full), 14)
     for subs in itertools.permutations((one, full, full)):
         words = ternary_kernel_words(subs, 14)
-        assert len(words) == 0 and len(words.starts) == 0
+        assert len(words) == 0 and len(words.codes) == 0
         assert words is ternary_kernel_words((full, two, one), 10)
-    assert counted_searches == [] and kernel_search._WORD_CACHE == {}
-    assert not words.flags.writeable and not words.starts.flags.writeable
+    assert counted_searches == [] and empty_word_cache.entries == {}
+    assert not words.flags.writeable and not words.codes.flags.writeable
 
 
 def test_word_oracle_matches_the_scalar_fold():
@@ -497,19 +538,19 @@ def test_word_oracle_matches_the_scalar_fold():
     assert capped == 252
 
 
-def test_the_word_oracle_reads_search_buffers_without_renaming(monkeypatch):
+def test_the_word_oracle_reads_search_buffers_without_renaming(
+        monkeypatch, empty_word_cache):
     # every triple asks for its words in the order its search runs in, so
     # the cache holds one buffer per multiset of nontrivial tables, under
     # its search-order key, and none is renamed
     def refuse(*args):
         raise AssertionError("a cached buffer was renamed")
-    monkeypatch.setattr(kernel_search, "_WORD_CACHE", {})
     monkeypatch.setattr(kernel_search, "_renamed", refuse)
     D = dihedral_group(4)
     triples = list(itertools.product(subgroups(D), repeat=3))
     for subs in triples:
         higgins_ternary(D, *subs, "word-oracle", word_bound=10)
-    keys = list(kernel_search._WORD_CACHE)
+    keys = list(empty_word_cache.entries)
     for blobs, sizes, _ in keys:
         assert list(zip(sizes, blobs)) == sorted(zip(sizes, blobs))
     assert len(keys) == sum(all(len(s) > 1 for s in group[0])
