@@ -62,17 +62,16 @@ EXIT_OK, EXIT_VIOLATION, EXIT_ERROR = 0, 1, 2
 # argument plumbing
 
 
+def _element(alg: FinAlgebra, label: str, what: str) -> int:
+    try:
+        return alg.label_index(label.strip())
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+
+
 def _parse_elements(alg: FinAlgebra, text: str, what: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(alg.label_index(piece))
-        except ValidationError as exc:
-            raise ValidationError(f"{what}: {exc}") from exc
-    return out
+    return [_element(alg, piece, what) for piece in text.split(",")
+            if piece.strip()]
 
 
 def _sub_from_spec(alg: FinAlgebra, text: str, what: str) -> Subuniverse:
@@ -89,8 +88,8 @@ def _cong_from_spec(alg: FinAlgebra, text: str, what: str):
         if len(sides) != 2:
             raise ValidationError(
                 f"{what}: expected label~label, got {piece!r}")
-        pairs.append((alg.label_index(sides[0].strip()),
-                      alg.label_index(sides[1].strip())))
+        pairs.append((_element(alg, sides[0], what),
+                      _element(alg, sides[1], what)))
     return generate_congruence(alg, pairs)
 
 
@@ -374,9 +373,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="write the report here instead of stdout")
 
 
-def _add_ternary_flags(p: argparse.ArgumentParser,
-                       strategies=TERNARY_STRATEGIES) -> None:
-    p.add_argument("--strategy", choices=strategies, default=None)
+def _add_ternary_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strategy", choices=TERNARY_STRATEGIES, default=None)
     p.add_argument("--word-bound", type=int, default=None, metavar="N",
                    help="syllable budget for the word-oracle strategy"
                         " (default: built-in)")

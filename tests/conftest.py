@@ -98,6 +98,47 @@ def _compatible(alg, assign) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reference: the lattice enumerations ``sweeps`` used before its join pass
+
+
+def reference_subgroups(alg) -> list[tuple[int, ...]]:
+    """Members of every subgroup, by breadth-first growth: extend each
+    subgroup found by one outside element and close, until nothing is new.
+    Sorted by size then members, as ``sweeps.subgroups``."""
+    trivial = core.generate_subuniverse(alg, []).members
+    found, frontier = {trivial}, [trivial]
+    while frontier:
+        members = frontier.pop()
+        for g in sorted(set(range(alg.size)) - set(members)):
+            bigger = core.generate_subuniverse(alg, members + (g,)).members
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def reference_congruences(alg) -> list[tuple[int, ...]]:
+    """Block ids of every congruence, by join-closure: the principal
+    congruences (on a group, those of the pairs (e, g)), then, batch by
+    batch, each new one regenerated together with every one found until a
+    batch finds nothing.  Sorted, as ``sweeps.congruences``."""
+    def generate(pairs):
+        return core.generate_congruence(alg, pairs).block_id
+
+    pairs = itertools.combinations(range(alg.size), 2)
+    if core._group_tables(alg) is not None:
+        e = alg.basepoint
+        pairs = ((e, g) for g in range(alg.size) if g != e)
+    found = {generate([])}
+    fresh = {generate([p]) for p in pairs} - found
+    while fresh:
+        found |= fresh
+        fresh = {generate([*enumerate(a), *enumerate(b)])
+                 for a in fresh for b in found} - found
+    return sorted(found)
+
+
+# ---------------------------------------------------------------------------
 # oracle: subgroup machinery by raw table chasing
 
 

@@ -488,6 +488,20 @@ def test_unknown_label_is_an_input_error(capsys):
     assert "--gens" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("commutator", "smith", "--algebra", "S3", "--cong", "e~zz",
+      "--cong", "e~(12)"), "--cong #1"),
+    (("commutator", "smith", "--algebra", "S3", "--cong", "e~(12)",
+      "--cong", "zz~e"), "--cong #2"),
+    (("closure", "cong", "--algebra", "S3", "--pairs", "e~(12);zz~e"),
+     "--pairs"),
+])
+def test_unknown_label_in_a_pair_names_the_argument(capsys, argv, what):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{what}: 'zz' names no element of S3" in err
+
+
 def test_exclusive_input_flags(capsys, tmp_path):
     code, _, err = _run(capsys, "algebra", "verify")
     assert code == 2 and "exactly one of --file or --algebra" in err

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from commwb import sweeps
-from commwb.core import (ValidationError, generate_congruence,
+from commwb.core import (FinAlgebra, Signature, ValidationError,
+                         _group_tables, _heyting_tables, generate_congruence,
                          generate_subuniverse)
 from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
                            subgroups)
-from commwb.varieties import cyclic_group, dihedral_group, symmetric_group
-from conftest import brute_congruences
+from commwb.varieties import (builtin_library, cyclic_group, dihedral_group,
+                              symmetric_group)
+from conftest import (brute_congruences, reference_congruences,
+                      reference_subgroups)
 from sweep_inputs import library_algebras, sample_subgroup_triples
+from test_core import _relabel
+
+_LIBRARY = builtin_library()
+CARRIERS = sorted(key for key in _LIBRARY.algebras if "/" not in key)
+GROUPS = [key for key in CARRIERS
+          if _LIBRARY.algebra_profile[key] == "groups"]
 
 
 def test_subgroup_counts_on_small_groups(lib):
@@ -101,6 +110,107 @@ def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
         assert {t.block_id for t in congruences(alg)} == want, key
         e = alg.basepoint
         assert principal == [(e, x) for x in range(alg.size) if x != e], key
+
+
+def test_heyting_congruences_are_the_filter_congruences(monkeypatch, lib):
+    # the sweep generates the principal congruences of the pairs (top, x)
+    # only, and must still find every congruence x ~ y iff a∧x = a∧y of a
+    # principal filter ↑a (Nemitz, Implicative semi-lattices, 1965)
+    principal = []
+
+    def generate(algebra, pairs):
+        if len(pairs) == 1:
+            principal.append(pairs[0])
+        return generate_congruence(algebra, pairs)
+
+    monkeypatch.setattr(sweeps, "generate_congruence", generate)
+    for key, alg in library_algebras(lib, "hslat"):
+        meet, _ = _heyting_tables(alg)
+        want = {tuple(int(np.argmax(row == v)) for v in row)
+                for row in meet}
+        principal.clear()
+        assert {t.block_id for t in congruences(alg)} == want, key
+        top = alg.basepoint
+        assert principal == [(top, x) for x in range(alg.size)
+                             if x != top], key
+
+
+def _relabellings(alg):
+    """``alg`` and three seeded relabellings of it."""
+    rng = np.random.default_rng(alg.size)
+    return [alg] + [_relabel(alg, rng.permutation(alg.size))
+                    for _ in range(3)]
+
+
+@pytest.mark.parametrize("key", CARRIERS)
+def test_congruences_match_the_join_closure_reference(lib, key):
+    for alg in _relabellings(lib.algebra(key)):
+        assert [t.block_id for t in congruences(alg)] == \
+            reference_congruences(alg), key
+
+
+@pytest.mark.parametrize("key", GROUPS)
+def test_subgroups_match_the_breadth_first_reference(lib, key):
+    for alg in _relabellings(lib.algebra(key)):
+        assert [s.members for s in subgroups(alg)] == \
+            reference_subgroups(alg), key
+
+
+def _random_algebra(seed):
+    """One binary and one unary operation on 3 to 6 elements, drawn over a
+    random quotient so that the lattice is seldom just {Δ, ∇}."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    block = np.unique(rng.integers(0, n, n), return_inverse=True)[1]
+    count = np.bincount(block)
+    start = np.cumsum(count) - count
+    members = np.argsort(block, kind="stable")
+
+    def table(k):
+        # a random member of the block that a random table on blocks names
+        target = rng.integers(0, len(count), (len(count),) * k)[
+            np.ix_(*[block] * k)]
+        pick = (rng.random(target.shape) * count[target]).astype(np.int64)
+        return members[start[target] + pick]
+
+    sig = Signature(ops=(("f", 2), ("u", 1), ("c", 0)), basepoint_op="c")
+    return FinAlgebra(sig, n, {"f": table(2), "u": table(1),
+                               "c": np.array(int(rng.integers(0, n)))})
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_congruences_of_random_algebras_match_both_references(seed):
+    alg = _random_algebra(seed)
+    assert _group_tables(alg) is None and _heyting_tables(alg) is None
+    got = [t.block_id for t in congruences(alg)]
+    assert got == reference_congruences(alg) == brute_congruences(alg)
+
+
+def test_random_algebras_have_more_than_two_congruences_often():
+    counts = [len(congruences(_random_algebra(seed))) for seed in range(24)]
+    assert sum(c > 2 for c in counts) >= 16, counts
+
+
+@pytest.mark.parametrize("key", ["S3", "D4", "A4", "chain3xchain3",
+                                 "diamond"])
+def test_every_join_combines_two_members_above_the_bottom(monkeypatch, lib,
+                                                          key):
+    alg = lib.algebra(key)
+    calls = []
+    joins = sweeps._joins
+
+    def recording(bottom, gens, join, ident):
+        def logged(s, t):
+            calls.append((ident(bottom), ident(s), ident(t)))
+            return join(s, t)
+        return joins(bottom, gens, logged, ident)
+
+    monkeypatch.setattr(sweeps, "_joins", recording)
+    congruences(alg)
+    if _group_tables(alg) is not None:
+        subgroups(alg)
+    assert calls
+    assert all(bottom not in (s, t) and s != t for bottom, s, t in calls)
 
 
 def test_join_subs_is_the_generated_join():
