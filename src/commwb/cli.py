@@ -70,8 +70,16 @@ def _element(alg: FinAlgebra, label: str, what: str) -> int:
 
 
 def _parse_elements(alg: FinAlgebra, text: str, what: str) -> list[int]:
-    return [_element(alg, piece, what) for piece in text.split(",")
-            if piece.strip()]
+    """Labels separated by commas outside parentheses, since a product
+    carrier's labels are pairs such as ``(1/2,1)``."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    pieces.append(text[start:])
+    return [_element(alg, piece, what) for piece in pieces if piece.strip()]
 
 
 def _sub_from_spec(alg: FinAlgebra, text: str, what: str) -> Subuniverse:

@@ -22,8 +22,11 @@ instead, and S is never built: there the trace is the subgroup
 [K, L] = <[k, l]> (Mantovani–Metere, *Normalities and commutators*,
 J. Algebra 324, 2010), and S, a subgroup over all of K x L whose kernel
 over K x L is that trace, has the coset k·l·[K, L] above each (k, l).
-The trace stays the route for every other signature and the tests'
-reference for the group route.
+On a Heyting semilattice (``core._heyting_tables``) the commutator of
+two filters is their intersection (``higgins_binary``), and S is not
+built either.  The trace stays the route for every other signature, for
+subalgebras of a Heyting semilattice that are not filters, for the
+cooperator's certificate, and as the tests' reference for both routes.
 
 On top of the binary case the module provides ternary commutators (three
 strategies of different strength), the Smith commutator of congruences,
@@ -183,7 +186,8 @@ def _triple_trace(D: FinAlgebra, K: Subuniverse, L: Subuniverse) -> np.ndarray:
 
     Rows are the triples (t(k,0), t(0,l), t(k,l)); closure stays inside
     K x L x D because K and L are closed componentwise.  Not built on a
-    group, where the tests keep it as the reference.
+    group, nor by ``higgins_binary`` for two filters of a Heyting
+    semilattice; the tests keep it as the reference there.
     """
     bp = D.basepoint
     seeds = [(int(k), bp, int(k)) for k in K.members]
@@ -257,19 +261,42 @@ def cooperator(D: FinAlgebra, K: Subuniverse, L: Subuniverse
     return CooperatorOutcome(commutator)
 
 
+def _is_filter(meet: np.ndarray, K: Subuniverse) -> bool:
+    """Whether K is up-closed in the order of ``meet``: every x above a
+    member k, meet(k, x) = k, is a member."""
+    k = np.asarray(K.members)
+    inside = np.zeros(len(meet), dtype=bool)
+    inside[k] = True
+    return bool(inside[(meet[k] == k[:, None]).any(axis=0)].all())
+
+
 def higgins_binary(D: FinAlgebra, K: Subuniverse, L: Subuniverse
                    ) -> Subuniverse:
     """Binary commutator [K, L]: trace {d : (0, 0, d)} of joint generation.
 
     On a group, the subgroup generated by the commutators [k, l], which
-    is that trace (Mantovani–Metere 2010).  Trivial exactly when the
-    cooperator of K and L exists.
+    is that trace (Mantovani–Metere 2010).  On a Heyting semilattice
+    (``core._heyting_tables``) with K and L both filters, K ∩ L: filters
+    are the normal subalgebras (Nemitz 1965), Heyting semilattices are
+    semi-abelian (Johnstone 2004), and there Higgins is Huq for normal
+    subobjects (Mantovani–Metere 2010), so [K, L] lies in K ∩ L; in a
+    congruence-distributive variety an abelian object is trivial, so
+    K ∩ L, which commutes with itself modulo [K, L], lies in [K, L].
+    For subalgebras that are not filters the intersection is wrong, and
+    the trace runs.  Trivial exactly when the cooperator of K and L
+    exists.
     """
     _require_sub_of(D, K, "K")
     _require_sub_of(D, L, "L")
     group = _group_tables(D)
     if group is not None:
         return _group_commutator(D, *group, K, L)
+    heyting = _heyting_tables(D)
+    if heyting is not None and _is_filter(heyting[0], K) \
+            and _is_filter(heyting[0], L):
+        inside = set(L.members)
+        return Subuniverse._trusted(
+            D, tuple(m for m in K.members if m in inside))
     return _binary_commutator(D, _triple_trace(D, K, L))
 
 

@@ -502,6 +502,19 @@ def test_unknown_label_in_a_pair_names_the_argument(capsys, argv, what):
     assert f"{what}: 'zz' names no element of S3" in err
 
 
+@pytest.mark.parametrize("argv, closure", [
+    (("closure", "sub", "--gens", "(1/2,1),(1,1)"), ["(1/2,1)", "(1,1)"]),
+    (("closure", "sub", "--gens", "(0,1), (1,1/2)"),
+     ["(0,1/2)", "(0,1)", "(1,1/2)", "(1,1)"]),
+    (("closure", "wnormal", "--sub", "(1/2,1)"), ["(1/2,1)", "(1,1)"]),
+])
+def test_element_lists_keep_the_commas_inside_a_label(capsys, argv, closure):
+    # a product carrier's labels are pairs: only commas outside
+    # parentheses separate elements
+    code, report = _run_json(capsys, *argv, "--algebra", "chain3xchain3")
+    assert code == 0 and report["result"]["closure"] == closure
+
+
 def test_exclusive_input_flags(capsys, tmp_path):
     code, _, err = _run(capsys, "algebra", "verify")
     assert code == 2 and "exactly one of --file or --algebra" in err

@@ -196,6 +196,90 @@ def test_higgins_binary_is_meet_on_heyting_semilattices(lib):
     for k, l in itertools.product((full, half, top), repeat=2):
         want = tuple(sorted(set(k.members) & set(l.members)))
         assert higgins_binary(c3, k, l).members == want
+    # {0, 1} is a subalgebra but no filter (0 <= 1/2), and its commutator
+    # with {1/2, 1} is not their intersection {1}
+    ends = Subuniverse(c3, (0, 2))
+    assert higgins_binary(c3, ends, half).members == (1, 2)
+    assert higgins_binary(c3, half, ends).members == (1, 2)
+
+
+def _heyting_keys(lib):
+    keys = [key for key in sorted(lib.algebras)
+            if lib.algebra_profile[key] == "hslat"]
+    assert len(keys) == 10
+    return keys
+
+
+def _up_closed(D, sub) -> bool:
+    """Whether a subuniverse of a Heyting semilattice is a filter: every
+    y with k <= y, meet(k, y) = k, for a member k is a member."""
+    meet = core._heyting_tables(D)[0]
+    return all(y in sub.members for k in sub.members for y in range(D.size)
+               if meet[k, y] == k)
+
+
+def _trace(D, K, L) -> tuple:
+    return commutators._binary_commutator(
+        D, commutators._triple_trace(D, K, L)).members
+
+
+def test_higgins_binary_on_heyting_semilattices_matches_the_trace(lib):
+    # filters are the normalisations of the congruences (Nemitz 1965): on
+    # every pair of them the trace is the intersection.  On every pair of
+    # subalgebras generated by at most 2 elements that are not both
+    # filters, higgins_binary is the trace, which the intersection often
+    # is not
+    filter_pairs = other_pairs = wrong_meets = 0
+    for key in _heyting_keys(lib):
+        D = lib.algebra(key)
+        filters = [normalise(theta) for theta in congruences(D)]
+        for K, L in itertools.product(filters, repeat=2):
+            want = tuple(sorted(set(K.members) & set(L.members)))
+            assert _trace(D, K, L) == want, (key, K.members, L.members)
+            assert higgins_binary(D, K, L).members == want
+            filter_pairs += 1
+        small = sorted({_sub(D, *gens).members for r in range(3)
+                        for gens in itertools.combinations(range(D.size), r)})
+        small = [Subuniverse(D, m) for m in small]
+        for K, L in itertools.product(small, repeat=2):
+            if _up_closed(D, K) and _up_closed(D, L):
+                continue
+            want = _trace(D, K, L)
+            assert higgins_binary(D, K, L).members == want, \
+                (key, K.members, L.members)
+            wrong_meets += want != tuple(sorted(set(K.members)
+                                                & set(L.members)))
+            other_pairs += 1
+    assert (filter_pairs, other_pairs, wrong_meets) == (200, 708, 554)
+    # on chain3 (0 < 1/2 < 1), [{0, 1}, {1/2, 1}] is {1/2, 1}, not {1}
+    c3 = lib.algebra("chain3")
+    assert _trace(c3, Subuniverse(c3, (0, 2)), Subuniverse(c3, (1, 2))) \
+        == (1, 2)
+
+
+def test_higgins_binary_of_two_filters_builds_no_trace(monkeypatch, lib):
+    # the normalisations of every congruence pair of every Heyting key
+    # are filters, answered with no D^3 closure; a pair that is not two
+    # filters still closes once
+    instances = [(lib.algebra(key), normalise(R), normalise(S))
+                 for key in _heyting_keys(lib)
+                 for R, S in itertools.product(
+                     congruences(lib.algebra(key)), repeat=2)]
+    assert len(instances) == 200
+    calls = []
+    real = commutators.power_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(commutators, "power_closure", counting)
+    for D, K, L in instances:
+        higgins_binary(D, K, L)
+    assert calls == []
+    c3 = lib.algebra("chain3")
+    higgins_binary(c3, Subuniverse(c3, (0, 2)), Subuniverse(c3, (1, 2)))
+    assert calls == [c3]
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +576,36 @@ def test_commute_over_bundled_cospans(lib):
 def test_weighted_strategies_close_each_joint_generation_once(monkeypatch,
                                                              lib):
     # on a group every joint generation is read off commutators, with no
-    # D^3 closure; on a semilattice the trace runs, once per generation:
-    # two w-normality checks and [X, Y], or two w-normal closures and the
-    # cooperator
-    calls = []
+    # D^3 closure.  On a semilattice a call makes three: two w-normality
+    # checks and [X, Y], or two w-normal closures and the cooperator; the
+    # trace runs once for each but a commutator of two filters
+    calls, generations, traced = [], [], []
     real = commutators.power_closure
+    real_binary, real_cooperator = higgins_binary, cooperator
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
+    def binary(D, K, L):
+        generations.append(D)
+        if not (_up_closed(D, K) and _up_closed(D, L)):
+            traced.append(D)
+        return real_binary(D, K, L)
+
+    def cooperating(D, K, L):
+        generations.append(D)
+        traced.append(D)
+        return real_cooperator(D, K, L)
+
     monkeypatch.setattr(commutators, "power_closure", counting)
+    skipped = 0
     carriers = ((symmetric_group(3), 0), (lib.algebras["chain3"], 3),
                 (lib.algebras["diamond"], 3))
     for D, closures in carriers:
+        if closures:
+            monkeypatch.setattr(commutators, "higgins_binary", binary)
+            monkeypatch.setattr(commutators, "cooperator", cooperating)
         subs = {generate_subuniverse(D, (i,)).members for i in range(D.size)}
         incl = [Subuniverse(D, m).inclusion_hom() for m in sorted(subs)]
         proper = [(x, y, w) for x, y, w in itertools.product(incl, repeat=3)
@@ -515,9 +615,13 @@ def test_weighted_strategies_close_each_joint_generation_once(monkeypatch,
         for x, y, w in proper:
             c = WeightedCospan(x=x, y=y, w=w)
             for strategy in WEIGHTED_STRATEGIES:
-                calls.clear()
+                for seen in (calls, generations, traced):
+                    seen.clear()
                 commute_over(c, strategy, profile=lib.profiles["groups"])
-                assert len(calls) == closures, (D.name, strategy, len(calls))
+                assert len(generations) == closures, (D.name, strategy)
+                assert len(calls) == len(traced), (D.name, strategy)
+                skipped += closures - len(calls)
+    assert skipped > 0
 
 
 def test_commute_over_ssh_requires_certified_profile(lib):
