@@ -62,13 +62,6 @@ EXIT_OK, EXIT_VIOLATION, EXIT_ERROR = 0, 1, 2
 # argument plumbing
 
 
-def _element(alg: FinAlgebra, label: str, what: str) -> int:
-    try:
-        return alg.label_index(label.strip())
-    except ValidationError as exc:
-        raise ValidationError(f"{what}: {exc}") from exc
-
-
 def _parse_elements(alg: FinAlgebra, text: str, what: str) -> list[int]:
     """Labels separated by commas outside parentheses, since a product
     carrier's labels are pairs such as ``(1/2,1)``."""
@@ -79,14 +72,15 @@ def _parse_elements(alg: FinAlgebra, text: str, what: str) -> list[int]:
             pieces.append(text[start:i])
             start = i + 1
     pieces.append(text[start:])
-    return [_element(alg, piece, what) for piece in pieces if piece.strip()]
+    return [alg.label_index(piece.strip(), what) for piece in pieces
+            if piece.strip()]
 
 
 def _sub_from_spec(alg: FinAlgebra, text: str, what: str) -> Subuniverse:
     return generate_subuniverse(alg, _parse_elements(alg, text, what))
 
 
-def _cong_from_spec(alg: FinAlgebra, text: str, what: str):
+def _cong_from_spec(alg: FinAlgebra, text: str, what: str) -> Congruence:
     pairs = []
     for piece in text.split(";"):
         piece = piece.strip()
@@ -96,8 +90,8 @@ def _cong_from_spec(alg: FinAlgebra, text: str, what: str):
         if len(sides) != 2:
             raise ValidationError(
                 f"{what}: expected label~label, got {piece!r}")
-        pairs.append((_element(alg, sides[0], what),
-                      _element(alg, sides[1], what)))
+        pairs.append(tuple(alg.label_index(side.strip(), what)
+                           for side in sides))
     return generate_congruence(alg, pairs)
 
 
@@ -122,14 +116,34 @@ def _blocks(theta) -> list[list[str]]:
             for block in theta.blocks()]
 
 
-def _verdict_payload(v) -> dict:
-    return {
+def _repeated(alg: FinAlgebra, specs, flag: str, want: int, read) -> list:
+    """The ``want`` values of a repeated flag, each read by ``read``."""
+    specs = specs or []
+    if len(specs) != want:
+        raise ValidationError(
+            f"expected exactly {want} {flag} arguments, got {len(specs)}")
+    return [read(alg, s, f"{flag} #{i + 1}") for i, s in enumerate(specs)]
+
+
+def _one_of(args, first: str, second: str):
+    """The value of whichever of two exclusive flags was given."""
+    a, b = getattr(args, first), getattr(args, second)
+    if bool(a) == bool(b):
+        raise ValidationError(f"{args.group} {args.sub_command}: give exactly"
+                              f" one of --{first} or --{second}")
+    return a or b
+
+
+def _verdict(v):
+    """A condition checker's report: (payload, complete, violated)."""
+    payload = {
         "condition": v.condition,
         "hypothesis_holds": v.hypothesis_holds,
         "conclusion_holds": v.conclusion_holds,
         "instance_satisfies": v.instance_satisfies,
         "witnesses": _jsonable(v.witnesses),
     }
+    return payload, v.complete, not v.instance_satisfies
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +151,7 @@ def _verdict_payload(v) -> dict:
 
 
 def _cmd_algebra_verify(args, reg: Registry):
-    if bool(args.file) == bool(args.algebra):
-        raise ValidationError(
-            "algebra verify: give exactly one of --file or --algebra")
+    _one_of(args, "file", "algebra")
     alg = (reg.algebra_file(args.file) if args.file
            else reg.algebra(args.algebra))
     payload = {
@@ -165,27 +177,9 @@ def _cmd_algebra_verify(args, reg: Registry):
     return payload, True, violated
 
 
-def _subs_from_args(args, alg: FinAlgebra, want: int) -> list[Subuniverse]:
-    specs = args.sub or []
-    if len(specs) != want:
-        raise ValidationError(
-            f"expected exactly {want} --sub arguments, got {len(specs)}")
-    return [_sub_from_spec(alg, s, f"--sub #{i + 1}")
-            for i, s in enumerate(specs)]
-
-
-def _congs_from_args(args, alg: FinAlgebra) -> list[Congruence]:
-    specs = args.cong or []
-    if len(specs) != 2:
-        raise ValidationError(
-            f"expected exactly 2 --cong arguments, got {len(specs)}")
-    return [_cong_from_spec(alg, s, f"--cong #{i + 1}")
-            for i, s in enumerate(specs)]
-
-
 def _cmd_commutator_huq(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    k, l = _subs_from_args(args, alg, 2)
+    k, l = _repeated(alg, args.sub, "--sub", 2, _sub_from_spec)
     outcome = cooperator(alg, k, l)
     payload = {
         "cooperator_exists": outcome.exists,
@@ -202,14 +196,14 @@ def _cmd_commutator_huq(args, reg: Registry):
 
 def _cmd_commutator_higgins(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    k, l = _subs_from_args(args, alg, 2)
+    k, l = _repeated(alg, args.sub, "--sub", 2, _sub_from_spec)
     payload = {"commutator": _members(higgins_binary(alg, k, l))}
     return payload, True, False
 
 
 def _cmd_commutator_ternary(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    k, l, m = _subs_from_args(args, alg, 3)
+    k, l, m = _repeated(alg, args.sub, "--sub", 3, _sub_from_spec)
     rep = higgins_ternary(alg, k, l, m,
                           _resolve_ternary_strategy(alg, args.strategy),
                           word_bound=args.word_bound,
@@ -224,7 +218,8 @@ def _cmd_commutator_ternary(args, reg: Registry):
 
 def _cmd_commutator_smith(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    theta = smith(alg, *_congs_from_args(args, alg))
+    theta = smith(alg, *_repeated(alg, args.cong, "--cong", 2,
+                                  _cong_from_spec))
     payload = {
         "blocks": _blocks(theta),
         "is_diagonal": theta.is_delta(),
@@ -233,10 +228,7 @@ def _cmd_commutator_smith(args, reg: Registry):
 
 
 def _cmd_commutator_weighted(args, reg: Registry):
-    if bool(args.file) == bool(args.cospan):
-        raise ValidationError(
-            "commutator weighted: give exactly one of --cospan or --file")
-    c = reg.cospan(args.file if args.file else args.cospan)
+    c = reg.cospan(_one_of(args, "cospan", "file"))
     profile = reg.profile(args.profile) if args.profile else None
     strategy = args.strategy or "proper-commutators"
     verdict, rep = commute_over(c, strategy, profile=profile,
@@ -274,34 +266,24 @@ def _cmd_closure_wnormal(args, reg: Registry):
 
 def _cmd_check_sh(args, reg: Registry):
     alg = reg.algebra(args.algebra)
-    v = check_sh_instance(alg, *_congs_from_args(args, alg))
-    return _verdict_payload(v), v.complete, not v.instance_satisfies
+    return _verdict(check_sh_instance(
+        alg, *_repeated(alg, args.cong, "--cong", 2, _cong_from_spec)))
 
 
 def _cmd_check_ssh(args, reg: Registry):
-    if bool(args.file) == bool(args.diagram):
-        raise ValidationError(
-            "check ssh: give exactly one of --diagram or --file")
-    d = reg.diagram(args.file if args.file else args.diagram)
-    v = check_ssh_instance(d)
-    return _verdict_payload(v), v.complete, not v.instance_satisfies
+    return _verdict(check_ssh_instance(
+        reg.diagram(_one_of(args, "diagram", "file"))))
 
 
 def _cmd_check_w(args, reg: Registry):
-    if bool(args.file) == bool(args.cospan):
-        raise ValidationError(
-            "check w: give exactly one of --cospan or --file")
-    c = reg.cospan(args.file if args.file else args.cospan)
-    v = check_w_instance(c, ternary_strategy=args.strategy,
-                         word_bound=args.word_bound,
-                         term_depth=args.term_depth)
-    return _verdict_payload(v), v.complete, not v.instance_satisfies
+    return _verdict(check_w_instance(
+        reg.cospan(_one_of(args, "cospan", "file")),
+        ternary_strategy=args.strategy, word_bound=args.word_bound,
+        term_depth=args.term_depth))
 
 
 def _cmd_check_reflect(args, reg: Registry):
-    mode, p, carrier, r, s = reg.reflection(args.file)
-    v = check_reflection_instance(mode, p, carrier, r, s)
-    return _verdict_payload(v), v.complete, not v.instance_satisfies
+    return _verdict(check_reflection_instance(*reg.reflection(args.file)))
 
 
 def _cmd_examples_run(args, reg: Registry):
@@ -374,20 +356,75 @@ def _write_report(report: dict, fmt: str, out: str | None) -> None:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="text",
-                   help="report format (default: text)")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the report here instead of stdout")
+# Flags that several subcommands share, as (flag, add_argument keywords).
+_ALGEBRA = ("--algebra", {"required": True})
+_SUBS = ("--sub", {"action": "append", "metavar": "GENS"})
+_CONGS = ("--cong", {"action": "append", "metavar": "PAIRS"})
+_FILE = ("--file", {"metavar": "PATH"})
+_COSPAN = ("--cospan", {"metavar": "NAME"})
+_TERM_DEPTH = ("--term-depth", {"type": int, "metavar": "N", "help":
+                                "nesting budget for the term strategy"})
+_TERNARY = (("--strategy", {"choices": TERNARY_STRATEGIES}),
+            ("--word-bound", {"type": int, "metavar": "N", "help":
+                              "syllable budget for the word-oracle strategy"
+                              " (default: built-in)"}),
+            _TERM_DEPTH)
+_REPORT = (("--format", {"choices": ("json", "text"), "default": "text",
+                         "help": "report format (default: text)"}),
+           ("--out", {"metavar": "FILE",
+                      "help": "write the report here instead of stdout"}))
 
-
-def _add_ternary_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=TERNARY_STRATEGIES, default=None)
-    p.add_argument("--word-bound", type=int, default=None, metavar="N",
-                   help="syllable budget for the word-oracle strategy"
-                        " (default: built-in)")
-    p.add_argument("--term-depth", type=int, default=None, metavar="N",
-                   help="nesting budget for the term strategy")
+# (group, help, ((verb, help, handler, flags), ...)); every verb also takes
+# the _REPORT flags.
+_COMMANDS = (
+    ("algebra", "algebra file utilities", (
+        ("verify", "validate a file, optionally against a variety profile",
+         _cmd_algebra_verify,
+         (_FILE, ("--algebra", {"metavar": "NAME"}),
+          ("--profile", {"metavar": "NAME"}))),
+    )),
+    ("commutator", "commutator computations", (
+        ("huq", "cooperator existence for two subalgebras",
+         _cmd_commutator_huq, (_ALGEBRA, _SUBS)),
+        ("higgins", "binary commutator subuniverse",
+         _cmd_commutator_higgins, (_ALGEBRA, _SUBS)),
+        ("ternary", "ternary commutator subuniverse",
+         _cmd_commutator_ternary, (_ALGEBRA, _SUBS, *_TERNARY)),
+        ("smith", "centralising congruence of two congruences",
+         _cmd_commutator_smith, (_ALGEBRA, _CONGS)),
+        ("weighted", "do two legs commute over a weight",
+         _cmd_commutator_weighted,
+         (_COSPAN, _FILE,
+          ("--profile", {"metavar": "NAME", "help":
+                         "variety profile (needed by ssh-kernel)"}),
+          ("--strategy", {"choices": WEIGHTED_STRATEGIES}), _TERM_DEPTH)),
+    )),
+    ("closure", "closure computations", (
+        ("sub", "generated subuniverse", _cmd_closure_sub,
+         (_ALGEBRA, ("--gens", {"required": True, "metavar": "ELEMS"}))),
+        ("cong", "generated congruence", _cmd_closure_cong,
+         (_ALGEBRA, ("--pairs", {"required": True, "metavar": "PAIRS"}))),
+        ("wnormal", "weighted normal closure", _cmd_closure_wnormal,
+         (_ALGEBRA, ("--sub", {"required": True, "metavar": "GENS"}),
+          ("--weight", {"metavar": "GENS", "help": "weight image generators"
+                        " (default: whole algebra)"}))),
+    )),
+    ("check", "condition instance checkers", (
+        ("sh", "do trivial normalisation commutators force centralising"
+               " congruences", _cmd_check_sh, (_ALGEBRA, _CONGS)),
+        ("ssh", "does a commuting kernel cospan admit a fill-in",
+         _cmd_check_ssh, (("--diagram", {"metavar": "NAME"}), _FILE)),
+        ("w", "is weighted commutation weight-independent here",
+         _cmd_check_w, (_COSPAN, _FILE, *_TERNARY)),
+        ("reflect", "does change of base reflect centralisation",
+         _cmd_check_reflect,
+         (("--file", {"required": True, "metavar": "PATH"}),)),
+    )),
+    ("examples", "replay recorded instances", (
+        ("run", "recompute a bundled example", _cmd_examples_run,
+         (("name", {"choices": EXAMPLE_NAMES + ("all",)}),)),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,125 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="commwb",
         description="Commutator workbench over finite pointed algebras")
     top = parser.add_subparsers(dest="group", required=True)
-
-    algebra = top.add_parser("algebra", help="algebra file utilities")
-    asub = algebra.add_subparsers(dest="sub_command", required=True)
-    verify = asub.add_parser("verify",
-                             help="validate a file, optionally against a"
-                                  " variety profile")
-    verify.add_argument("--file", metavar="PATH")
-    verify.add_argument("--algebra", metavar="NAME")
-    verify.add_argument("--profile", metavar="NAME")
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_algebra_verify)
-
-    comm = top.add_parser("commutator", help="commutator computations")
-    csub = comm.add_subparsers(dest="sub_command", required=True)
-
-    huq = csub.add_parser("huq", help="cooperator existence for two"
-                                      " subalgebras")
-    huq.add_argument("--algebra", required=True)
-    huq.add_argument("--sub", action="append", metavar="GENS")
-    _add_common(huq)
-    huq.set_defaults(handler=_cmd_commutator_huq)
-
-    higgins = csub.add_parser("higgins", help="binary commutator"
-                                              " subuniverse")
-    higgins.add_argument("--algebra", required=True)
-    higgins.add_argument("--sub", action="append", metavar="GENS")
-    _add_common(higgins)
-    higgins.set_defaults(handler=_cmd_commutator_higgins)
-
-    ternary = csub.add_parser("ternary", help="ternary commutator"
-                                              " subuniverse")
-    ternary.add_argument("--algebra", required=True)
-    ternary.add_argument("--sub", action="append", metavar="GENS")
-    _add_ternary_flags(ternary)
-    _add_common(ternary)
-    ternary.set_defaults(handler=_cmd_commutator_ternary)
-
-    smith_p = csub.add_parser("smith", help="centralising congruence of"
-                                            " two congruences")
-    smith_p.add_argument("--algebra", required=True)
-    smith_p.add_argument("--cong", action="append", metavar="PAIRS")
-    _add_common(smith_p)
-    smith_p.set_defaults(handler=_cmd_commutator_smith)
-
-    weighted = csub.add_parser("weighted", help="do two legs commute over"
-                                                " a weight")
-    weighted.add_argument("--cospan", metavar="NAME")
-    weighted.add_argument("--file", metavar="PATH")
-    weighted.add_argument("--profile", metavar="NAME",
-                          help="variety profile (needed by ssh-kernel)")
-    weighted.add_argument("--strategy", choices=WEIGHTED_STRATEGIES,
-                          default=None)
-    weighted.add_argument("--term-depth", type=int, default=None,
-                          metavar="N")
-    _add_common(weighted)
-    weighted.set_defaults(handler=_cmd_commutator_weighted)
-
-    closure = top.add_parser("closure", help="closure computations")
-    osub = closure.add_subparsers(dest="sub_command", required=True)
-
-    sub_p = osub.add_parser("sub", help="generated subuniverse")
-    sub_p.add_argument("--algebra", required=True)
-    sub_p.add_argument("--gens", required=True, metavar="ELEMS")
-    _add_common(sub_p)
-    sub_p.set_defaults(handler=_cmd_closure_sub)
-
-    cong_p = osub.add_parser("cong", help="generated congruence")
-    cong_p.add_argument("--algebra", required=True)
-    cong_p.add_argument("--pairs", required=True, metavar="PAIRS")
-    _add_common(cong_p)
-    cong_p.set_defaults(handler=_cmd_closure_cong)
-
-    wnormal = osub.add_parser("wnormal", help="weighted normal closure")
-    wnormal.add_argument("--algebra", required=True)
-    wnormal.add_argument("--sub", required=True, metavar="GENS")
-    wnormal.add_argument("--weight", metavar="GENS",
-                         help="weight image generators (default: whole"
-                              " algebra)")
-    _add_common(wnormal)
-    wnormal.set_defaults(handler=_cmd_closure_wnormal)
-
-    check = top.add_parser("check", help="condition instance checkers")
-    ksub = check.add_subparsers(dest="sub_command", required=True)
-
-    sh = ksub.add_parser("sh", help="do trivial normalisation commutators"
-                                    " force centralising congruences")
-    sh.add_argument("--algebra", required=True)
-    sh.add_argument("--cong", action="append", metavar="PAIRS")
-    _add_common(sh)
-    sh.set_defaults(handler=_cmd_check_sh)
-
-    ssh = ksub.add_parser("ssh", help="does a commuting kernel cospan"
-                                      " admit a fill-in")
-    ssh.add_argument("--diagram", metavar="NAME")
-    ssh.add_argument("--file", metavar="PATH")
-    _add_common(ssh)
-    ssh.set_defaults(handler=_cmd_check_ssh)
-
-    w = ksub.add_parser("w", help="is weighted commutation"
-                                  " weight-independent here")
-    w.add_argument("--cospan", metavar="NAME")
-    w.add_argument("--file", metavar="PATH")
-    _add_ternary_flags(w)
-    _add_common(w)
-    w.set_defaults(handler=_cmd_check_w)
-
-    reflect = ksub.add_parser("reflect", help="does change of base reflect"
-                                              " centralisation")
-    reflect.add_argument("--file", required=True, metavar="PATH")
-    _add_common(reflect)
-    reflect.set_defaults(handler=_cmd_check_reflect)
-
-    examples = top.add_parser("examples", help="replay recorded instances")
-    esub = examples.add_subparsers(dest="sub_command", required=True)
-    run = esub.add_parser("run", help="recompute a bundled example")
-    run.add_argument("name", choices=EXAMPLE_NAMES + ("all",))
-    _add_common(run)
-    run.set_defaults(handler=_cmd_examples_run)
-
+    for group, group_help, verbs in _COMMANDS:
+        sub = top.add_parser(group, help=group_help).add_subparsers(
+            dest="sub_command", required=True)
+        for verb, verb_help, handler, flags in verbs:
+            p = sub.add_parser(verb, help=verb_help)
+            for flag, options in flags + _REPORT:
+                p.add_argument(flag, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 

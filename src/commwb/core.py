@@ -150,6 +150,10 @@ class FinAlgebra:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.size:
                 raise ValidationError("labels length != size")
+            if len(set(labels)) != self.size:
+                dup = next(x for x in labels if labels.count(x) > 1)
+                raise ValidationError(f"label {dup!r} names more than one"
+                                      f" element of {self.name or 'algebra'}")
             object.__setattr__(self, "labels", labels)
         bp = (int(norm[self.signature.basepoint_op][()]),)
         object.__setattr__(self, "fixes_basepoint", all(
@@ -162,16 +166,19 @@ class FinAlgebra:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 
-    def label_index(self, text: str) -> int:
+    def label_index(self, text: str, what: str = "") -> int:
+        """The element a label or an index names; an error is headed by
+        ``what``, the name of the argument that gave ``text``."""
         if self.labels and text in self.labels:
             return self.labels.index(text)
+        head = f"{what}: " if what else ""
         try:
             i = int(text)
         except ValueError:
-            raise ValidationError(
-                f"{text!r} names no element of {self.name or 'algebra'}")
+            raise ValidationError(f"{head}{text!r} names no element of"
+                                  f" {self.name or 'algebra'}") from None
         if not 0 <= i < self.size:
-            raise ValidationError(f"element index {i} out of range")
+            raise ValidationError(f"{head}element index {i} out of range")
         return i
 
     def __repr__(self):

@@ -110,9 +110,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ValidationError(f"{where}: expected an array of integers")
     return value
 
@@ -124,7 +128,7 @@ def _signature_from_json(ops_json, basepoint_op, where: str) -> Signature:
     for i, entry in enumerate(ops_json):
         op = _need(entry, "op", f"{where}.signature[{i}]")
         arity = _need(entry, "arity", f"{where}.signature[{i}]")
-        if not isinstance(op, str) or not isinstance(arity, int):
+        if not isinstance(op, str) or not _is_int(arity):
             raise ValidationError(
                 f"{where}.signature[{i}]: need string 'op' and integer"
                 " 'arity'")
@@ -160,7 +164,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> FinAlgebra:
     sig = _signature_from_json(_need(obj, "signature", where),
                                _need(obj, "basepoint_op", where), where)
     size = _need(obj, "size", where)
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ValidationError(f"{where}.size: expected a positive integer")
     tables_json = _need(obj, "tables", where)
     tables = {}
@@ -308,11 +312,8 @@ def _pairs_to_congruence(alg: FinAlgebra, pairs, where: str):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{where}[{i}]: expected a two-element"
                                   " pair")
-        try:
-            resolved.append((alg.label_index(str(pair[0])),
-                             alg.label_index(str(pair[1]))))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}[{i}]: {exc}") from exc
+        resolved.append(tuple(alg.label_index(str(x), f"{where}[{i}]")
+                              for x in pair))
     return generate_congruence(alg, resolved)
 
 

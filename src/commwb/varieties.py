@@ -116,10 +116,6 @@ def _identity_mismatch(algebra: FinAlgebra, text: str) -> Optional[dict]:
     """First assignment violating ``text`` on ``algebra``, or None."""
     lhs, rhs = parse_identity(text, algebra.signature)
     names = identity_vars((lhs, rhs))
-    if not names:
-        lv = int(eval_term(algebra, lhs, {}))
-        rv = int(eval_term(algebra, rhs, {}))
-        return None if lv == rv else {}
     grids = np.indices((algebra.size,) * len(names))
     env = dict(zip(names, grids))
     lv = np.broadcast_to(eval_term(algebra, lhs, env), grids.shape[1:])

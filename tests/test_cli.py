@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: reports, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -544,3 +545,145 @@ def test_a_cold_call_does_not_import_numpy_ma(argv):
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+# Every flag of every subcommand, frozen: (option strings, dest, required,
+# action, default, choices, type, metavar).  Help texts are left out.
+_FORMAT = (("--format",), "format", False, "store", "text", ("json", "text"),
+           None, None)
+_OUT = (("--out",), "out", False, "store", None, None, None, "FILE")
+_TERNARY_STRATEGY = (("--strategy",), "strategy", False, "store", None,
+                     ("group-fast", "word-oracle", "term-depth"), None, None)
+_FLAGS = {
+    "algebra verify": [
+        (("--file",), "file", False, "store", None, None, None, "PATH"),
+        (("--algebra",), "algebra", False, "store", None, None, None, "NAME"),
+        (("--profile",), "profile", False, "store", None, None, None, "NAME"),
+    ],
+    "commutator huq": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--sub",), "sub", False, "append", None, None, None, "GENS"),
+    ],
+    "commutator higgins": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--sub",), "sub", False, "append", None, None, None, "GENS"),
+    ],
+    "commutator ternary": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--sub",), "sub", False, "append", None, None, None, "GENS"),
+        _TERNARY_STRATEGY,
+        (("--word-bound",), "word_bound", False, "store", None, None, "int",
+         "N"),
+        (("--term-depth",), "term_depth", False, "store", None, None, "int",
+         "N"),
+    ],
+    "commutator smith": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--cong",), "cong", False, "append", None, None, None, "PAIRS"),
+    ],
+    "commutator weighted": [
+        (("--cospan",), "cospan", False, "store", None, None, None, "NAME"),
+        (("--file",), "file", False, "store", None, None, None, "PATH"),
+        (("--profile",), "profile", False, "store", None, None, None, "NAME"),
+        (("--strategy",), "strategy", False, "store", None,
+         ("proper-commutators", "ssh-kernel"), None, None),
+        (("--term-depth",), "term_depth", False, "store", None, None, "int",
+         "N"),
+    ],
+    "closure sub": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--gens",), "gens", True, "store", None, None, None, "ELEMS"),
+    ],
+    "closure cong": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--pairs",), "pairs", True, "store", None, None, None, "PAIRS"),
+    ],
+    "closure wnormal": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--sub",), "sub", True, "store", None, None, None, "GENS"),
+        (("--weight",), "weight", False, "store", None, None, None, "GENS"),
+    ],
+    "check sh": [
+        (("--algebra",), "algebra", True, "store", None, None, None, None),
+        (("--cong",), "cong", False, "append", None, None, None, "PAIRS"),
+    ],
+    "check ssh": [
+        (("--diagram",), "diagram", False, "store", None, None, None, "NAME"),
+        (("--file",), "file", False, "store", None, None, None, "PATH"),
+    ],
+    "check w": [
+        (("--cospan",), "cospan", False, "store", None, None, None, "NAME"),
+        (("--file",), "file", False, "store", None, None, None, "PATH"),
+        _TERNARY_STRATEGY,
+        (("--word-bound",), "word_bound", False, "store", None, None, "int",
+         "N"),
+        (("--term-depth",), "term_depth", False, "store", None, None, "int",
+         "N"),
+    ],
+    "check reflect": [
+        (("--file",), "file", True, "store", None, None, None, "PATH"),
+    ],
+    "examples run": [
+        ((), "name", True, "store", None,
+         ("hslat-ssh", "s3-w", "groups-phi", "all"), None, None),
+    ],
+}
+
+
+def _verb_parsers() -> dict:
+    """``"group verb"`` to the parser of that subcommand."""
+    def choices(parser):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+    return {f"{group} {verb}": verb_parser
+            for group, group_parser in choices(cli.build_parser()).items()
+            for verb, verb_parser in choices(group_parser).items()}
+
+
+def _flag(action) -> tuple:
+    return (tuple(action.option_strings), action.dest, action.required,
+            type(action).__name__.strip("_")[:-len("Action")].lower(),
+            action.default,
+            tuple(action.choices) if action.choices else None,
+            getattr(action.type, "__name__", None), action.metavar)
+
+
+def test_every_subcommand_keeps_its_flags():
+    parsers = _verb_parsers()
+    assert sorted(parsers) == sorted(_FLAGS)
+    for name, parser in parsers.items():
+        flags = [_flag(a) for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)]
+        assert flags == _FLAGS[name] + [_FORMAT, _OUT], name
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_every_subcommand_prints_its_help(capsys, command):
+    # argparse formats help strings with %, and reports a stray % only
+    # when it prints the help
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command.split(), "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: commwb {command}")
+
+
+def test_every_handler_is_bound_to_exactly_one_subcommand():
+    bound = [parser.get_default("handler").__name__
+             for parser in _verb_parsers().values()]
+    assert sorted(bound) == sorted(name for name in vars(cli)
+                                   if name.startswith("_cmd_"))
+
+
+def test_repeated_labels_in_an_algebra_file_are_an_input_error(capsys,
+                                                               tmp_path):
+    alg = algebra_to_json(cyclic_group(2))
+    alg["labels"] = ["x", "x"]
+    path = _write_algebra(tmp_path, "twice.json", alg)
+    code, out, err = _run(capsys, "closure", "sub", "--algebra", path,
+                          "--gens", "x")
+    assert code == 2 and out == ""
+    assert "label 'x' names more than one element" in err

@@ -52,6 +52,25 @@ def test_algebra_label_index_handles_labels_and_integers():
         s3.label_index("nope")
 
 
+def test_label_index_heads_its_error_with_the_argument():
+    s3 = symmetric_group(3)
+    assert s3.label_index("(12)", "--gens") == 2
+    with pytest.raises(ValidationError,
+                       match=r"^--gens: 'nope' names no element of S3$"):
+        s3.label_index("nope", "--gens")
+    with pytest.raises(ValidationError,
+                       match=r"^R\[0\]: element index 6 out of range$"):
+        s3.label_index("6", "R[0]")
+
+
+def test_algebra_rejects_repeated_labels():
+    sig = Signature(ops=(("mul", 2), ("e", 0)), basepoint_op="e")
+    tables = {"mul": np.array([[0, 1], [1, 0]]), "e": np.array(0)}
+    with pytest.raises(ValidationError,
+                       match="label 'x' names more than one element of Z2"):
+        FinAlgebra(sig, 2, tables, name="Z2", labels=("x", "x"))
+
+
 def test_check_hom_accepts_and_rejects():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     h = check_hom(z4, z2, [0, 1, 0, 1])

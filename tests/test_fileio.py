@@ -13,7 +13,7 @@ from commwb.fileio import (Registry, algebra_from_json, algebra_to_json,
                            diagram_from_json, diagram_to_json, load_json_file,
                            profile_from_json, profile_to_json,
                            reflection_from_json, sha256_obj)
-from commwb.varieties import symmetric_group
+from commwb.varieties import cyclic_group, symmetric_group
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "commwb", "fixtures")
@@ -108,6 +108,22 @@ def test_bad_labels_and_bad_map_lengths(lib):
     with pytest.raises(ValidationError,
                        match=r"cospan\.homs\.x: expected 2 entries, got 1"):
         cospan_from_json(c, resolve=None)
+
+
+def test_json_booleans_are_not_integers():
+    # true would pass for 1: a size and an arity that fit the tables
+    z1 = algebra_to_json(cyclic_group(1))
+    z1["size"] = True
+    with pytest.raises(ValidationError,
+                       match=r"algebra\.size: expected a positive integer"):
+        algebra_from_json(z1)
+    s3 = algebra_to_json(symmetric_group(3))
+    s3["signature"][1]["arity"] = True
+    assert s3["signature"][1]["op"] == "inv"
+    with pytest.raises(ValidationError,
+                       match=r"algebra\.signature\[1\]: need string 'op'"
+                             r" and integer 'arity'"):
+        algebra_from_json(s3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Equational profiles, identity verification, and the built-in catalogue."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from commwb.core import ValidationError
 from commwb.terms import eval_term, parse_term
-from commwb.varieties import (alternating_group, builtin_library,
+from commwb.varieties import (VarietyProfile, alternating_group,
+                              builtin_library,
                               chain_hslat, cyclic_group, diamond_hslat,
                               dicyclic_group, dihedral_group, perm_group,
                               symmetric_group, verify_identities)
@@ -114,6 +116,18 @@ def _with_broken_inverse(z4):
     tables = dict(z4.tables)
     tables["inv"] = np.array([0, 1, 2, 3])
     return dataclasses.replace(z4, tables=tables)
+
+
+def test_identities_without_variables_are_checked():
+    s3 = symmetric_group(3)
+    nullary = VarietyProfile("nullary", s3.signature,
+                             ("e = e", "inv(e) = e"))
+    assert verify_identities(s3, nullary).failures == ()
+    z4 = cyclic_group(4)
+    skew = dataclasses.replace(
+        z4, tables={**z4.tables, "inv": np.array([1, 0, 3, 2])})
+    report = verify_identities(skew, nullary)
+    assert not report.ok and report.failures == (("inv(e) = e", {}),)
 
 
 def test_signature_mismatch_rejected(lib):
