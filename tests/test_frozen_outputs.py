@@ -10,6 +10,9 @@ each kernel-word buffer as the SHA-256 of its ``<i8`` bytes.
 * ``words/<group>``: ``ternary_kernel_words`` at bound 10 on every
   subgroup triple of D4 and Q8, and on the cubes of S3, Z6, Z8, D4, Q8;
 * ``admissible/<diagram>``: the fill-in or the whole conflict;
+* ``fill-in/<carrier>``: the same on every pair of subalgebra inclusions
+  of S3, D4, Q8, A4 and Dic3 over Z1, and of chain3, chain4, diamond and
+  chain2xchain3 over the one-element chain (``fill_in_diagrams``);
 * ``group-fast/<group>``: result, witnesses and completeness on every
   subgroup triple of D4, Q8 and A4;
 * ``commute-over/<group>``: both strategies on every proper cospan of
@@ -48,6 +51,7 @@ from commwb.conditions import admissible
 from commwb.core import Subuniverse
 from commwb.sweeps import congruences, cyclic_subgroups, subgroups
 from commwb.varieties import builtin_library
+from sweep_inputs import FILL_IN_CARRIERS, fill_in_diagrams
 
 ROOT = Path(__file__).resolve().parent.parent
 FROZEN = Path(__file__).with_name("frozen_outputs.json")
@@ -131,12 +135,20 @@ def _words(key, cube=False):
 
 
 def _admissible(key):
-    outcome = admissible(builtin_library().diagrams[key])
+    return _fill_in(builtin_library().diagrams[key])
+
+
+def _fill_in(diagram):
+    outcome = admissible(diagram)
     c = outcome.conflict
     return {"exists": outcome.exists,
             "phi": None if outcome.phi is None else outcome.phi.map,
             "conflict": None if c is None else
             (c.element, c.values, c.derivations, c.involved)}
+
+
+def _fill_ins(key):
+    return [_fill_in(d) for d in fill_in_diagrams(builtin_library(), key)]
 
 
 def _group_fast(key):
@@ -198,6 +210,8 @@ def _entries() -> dict:
                     for k in ("S3", "Z6", "Z8", "D4", "Q8")})
     entries.update({f"admissible/{k}": partial(_admissible, k)
                     for k in sorted(lib.diagrams)})
+    entries.update({f"fill-in/{k}": partial(_fill_ins, k)
+                    for k in FILL_IN_CARRIERS})
     entries.update({f"group-fast/{k}": partial(_group_fast, k)
                     for k in ("D4", "Q8", "A4")})
     entries.update({f"commute-over/{k}": partial(_commute_over, k)
