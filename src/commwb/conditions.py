@@ -30,12 +30,14 @@ from .core import (
     Congruence,
     FinAlgebra,
     Hom,
+    MAX_CLOSURE_KEYS,
     PointObject,
     SpanWitness,
     Subuniverse,
     ValidationError,
-    _closure,
+    _check_same_signature,
     _require_group,
+    _sorted_distinct,
     check_hom,
     image_sub,
     kernel_sub,
@@ -201,57 +203,83 @@ def kernel_images(d: AdmissibleDiagram) -> tuple[Subuniverse, Subuniverse]:
 
 
 def admissible(d: AdmissibleDiagram) -> AdmissibleOutcome:
-    """Search for the unique fill-in phi on the pullback of f and g.
+    """Search for the unique fill-in phi on the pullback P of f and g.
 
-    Closes the relation {(e1(a), alpha(a))} ∪ {(e2(c), gamma(c))} inside
-    (A ×_B C) × D under all operations.  A total functional closure is
-    returned as a validated hom with phi∘e1 = alpha and phi∘e2 = gamma;
-    a multi-valued closure yields the conflict that a pair-by-pair replay
-    of the closure meets first, with the first derivation of both values.
-    A single-valued but partial closure means the instance is not
-    congruence-permutable and raises.
+    Round 0 takes the pairs (p, phi(p)) that the seeds (e1(a), alpha(a))
+    and (e2(c), gamma(c)), then the constants, force; each later round
+    applies each operation, in signature order, to the pairs found before
+    it, a new pair taking its first argument tuple in position order.  The
+    first pair to give an element a second value is the conflict, with
+    the first derivation of both values; until then an operation of arity
+    k meets at most |P|^k <= ``MAX_CLOSURE_KEYS`` tuples a round.  A total
+    map is returned as a validated hom with phi∘e1 = alpha and phi∘e2 =
+    gamma; a partial one raises: the instance is not congruence-permutable.
     """
     square = pullback(d.f, d.g, d.r, d.s)
-    P = square.carrier
-    D = d.target
+    P, D = square.carrier, d.target
+    _check_same_signature(P, D)
     e1, e2 = square.induced["e1"], square.induced["e2"]
-    seeds = np.concatenate([np.stack([e1.map, d.alpha.map], axis=1),
-                            np.stack([e2.map, d.gamma.map], axis=1)])
-    rows, how = _closure((P, D), seeds, derivations=True)
-    ps, ds = rows[:, 0], rows[:, 1]
+    ops = P.signature.ops
+    widest = max(k for _, k in ops)
+    if P.size ** widest > MAX_CLOSURE_KEYS:
+        raise ValidationError(
+            f"fill-in search over a pullback of {P.size:,} elements: an"
+            f" operation of arity {widest} takes {P.size ** widest:,} argument"
+            f" tuples, above MAX_CLOSURE_KEYS = {MAX_CLOSURE_KEYS:,}")
+    value, how = np.full(P.size, -1, dtype=np.int64), {}   # -1: no value yet
 
-    if (ps[1:] == ps[:-1]).any():
-        # the replay meets the element whose second value is derived first
-        values: dict[int, list[int]] = {}
-        for i in sorted(range(len(ps)), key=lambda i: how[i][0]):
-            values.setdefault(int(ps[i]), []).append(i)
-            if len(values[int(ps[i])]) == 2:
-                break
-        element = int(ps[i])
-        first, second = values[element]
-        na = d.f.dom.size
-        ders = tuple((op, args) if op is not None else ("seed-e1", args)
-                     if args < na else ("seed-e2", args - na)
-                     for _, op, args in (how[first], how[second]))
-        involved = {element}.union(*((q for q, _ in args) for op, args in ders
-                                     if op not in ("seed-e1", "seed-e2")))
-        conflict = AdmissibilityConflict(
-            element=element, values=(int(ds[first]), int(ds[second])),
-            derivations=ders, involved=tuple(sorted(involved)))
+    def settle(pairs):
+        """Settle ``pairs`` (p, v, derivation) in order; the conflict."""
+        for p, v, der in pairs:
+            if value[p] < 0:
+                value[p], how[p] = v, der
+            elif value[p] != v:
+                ders = (how[p], der)
+                involved = {p}.union(*(
+                    (q for q, _ in args) for op, args in ders
+                    if op not in ("seed-e1", "seed-e2")))
+                return AdmissibilityConflict(
+                    element=p, values=(int(value[p]), v), derivations=ders,
+                    involved=tuple(sorted(involved)))
+
+    legs = ((e1, d.alpha, "seed-e1"), (e2, d.gamma, "seed-e2"))
+    conflict = settle([(int(e.map[x]), int(leg.map[x]), (tag, x))
+                       for e, leg, tag in legs for x in range(e.dom.size)]
+                      + [(int(P.tables[op][()]), int(D.tables[op][()]),
+                          (op, ())) for op, k in ops if k == 0])
+    known = ()
+    while conflict is None and np.count_nonzero(value >= 0) > len(known):
+        known = np.flatnonzero(value >= 0)
+        for op, k in ops:
+            if k and conflict is None:
+                conflict = settle(_new_pairs(P, D, op, k, known, value))
+    if conflict is not None:
         return AdmissibleOutcome(phi=None, conflict=conflict, square=square)
-
-    if len(ps) < P.size:
+    if len(known) < P.size:
         raise ValidationError(
             "fill-in closure is partial — input not Mal'tsev at this "
-            "instance", witness=(len(ps), P.size))
-    mapping = np.empty(P.size, dtype=np.int64)
-    mapping[ps] = ds
-    phi = check_hom(P, D, mapping)
+            "instance", witness=(len(known), P.size))
+    phi = check_hom(P, D, value)
     if not np.array_equal(phi.map[e1.map], d.alpha.map) or \
             not np.array_equal(phi.map[e2.map], d.gamma.map):
         raise ValidationError("fill-in does not restrict to the comparison "
                               "legs")  # unreachable if seeds were honoured
     return AdmissibleOutcome(phi=phi, conflict=None, square=square)
+
+
+def _new_pairs(P: FinAlgebra, D: FinAlgebra, op: str, k: int,
+               known: np.ndarray, value: np.ndarray):
+    """The new pairs (p, v, derivation) that ``op`` makes from the pairs
+    (q, value[q]), q in ``known``, by their first argument tuples."""
+    vals = value[known]
+    ps = P.tables[op][np.ix_(*[known] * k)].ravel()
+    vs = D.tables[op][np.ix_(*[vals] * k)].ravel()
+    new = np.flatnonzero(value[ps] != vs)
+    first = _sorted_distinct(ps[new] * D.size + vs[new], first=True)[1]
+    for i in np.sort(new[first]).tolist():
+        at = np.unravel_index(i, (len(known),) * k)
+        yield int(ps[i]), int(vs[i]), (op, tuple(
+            (int(known[j]), int(vals[j])) for j in at))
 
 
 def groups_phi(d: AdmissibleDiagram) -> Hom:

@@ -3,24 +3,23 @@
 Everything downstream (commutators, condition checkers) reduces to the
 machinery here: subuniverse and congruence generation, products, pullbacks,
 kernels.  One closure engine, ``_closure``, computes every generated
-subalgebra: subuniverses, power closures in ``D^m`` and, for the fill-in
-search, relations in a product of two algebras.  It has two routes with
-the same rows.  In a power of one group (one binary, one unary and the
-basepoint operation, with a group's tables: ``_group_tables``, once per
-algebra), the group route closes the identity under right multiplication
-by the seeds, adding one generator at a time as Dimino's algorithm does;
-otherwise, and for the fill-in search, the semi-naive route applies every
-operation.  On a group, congruences need no closure in a power at all:
-``generate_congruence`` takes the cosets of a normal closure
-(``_normal_cosets``).  ``_heyting_tables`` decides the same way, from
-the tables and once per algebra, whether an algebra is a Heyting
+subalgebra: subuniverses, power closures in ``D^m`` and relations in a
+product of algebras.  It has two routes with the same rows.  In a power
+of one group (one binary, one unary and the basepoint operation, with a
+group's tables: ``_group_tables``, once per algebra), the group route
+closes the identity under right multiplication by the seeds, adding one
+generator at a time as Dimino's algorithm does; otherwise the semi-naive
+route applies every operation.  On a group, congruences need no closure
+in a power at all: ``generate_congruence`` takes the cosets of a normal
+closure (``_normal_cosets``).  ``_heyting_tables`` decides the same way,
+from the tables and once per algebra, whether an algebra is a Heyting
 semilattice, for ``smith``'s meet route.  ``_kept`` keeps these results
 on their object; one whose computation raises, as ``image_sub``'s check
 of an image as a subuniverse may, is not kept.  A ``_Cache``, the memo,
 sits in front of the engine: a closure asked again with the same factor
 algebras (the same objects) and the same set of seed rows returns the
 rows of the first call, read-only, within ``MAX_MEMO_BYTES`` (oldest out
-first); the fill-in search's derivations are never memoized.
+first).
 
 Inputs are checked where they come in: the public constructors, files
 and the CLI.  Results the engine builds closed by construction (generated
@@ -678,16 +677,14 @@ def _out_of_range(values: np.ndarray, size: int) -> Optional[int]:
     return int(bad.flat[0]) if bad.size else None
 
 
-def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
-             derivations: bool = False):
+def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray):
     """Subalgebra of A1 x ... x Am generated by the rows ``seeds`` (inside
-    the product) and the constants, as a (count, m) array of rows in key
-    order; a row's key is its mixed-radix index, first coordinate first.
-    Without derivations the array is read-only and may be the memo's,
-    from an earlier call with the same factors and the same seed set.
-    ``_right_closure`` makes it when the factors are one algebra with
-    ``_group_tables`` and no derivations are asked for, and ``_semi_naive``
-    otherwise, with each row's first derivation if asked.
+    the product) and the constants, as a read-only (count, m) array of
+    rows in key order; a row's key is its mixed-radix index, first
+    coordinate first.  The array may be the memo's, from an earlier call
+    with the same factors and the same seed set.  ``_right_closure`` makes
+    it when the factors are one algebra with ``_group_tables``, and
+    ``_semi_naive`` otherwise.
     """
     for other in factors[1:]:
         _check_same_signature(factors[0], other)
@@ -700,8 +697,6 @@ def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray,
     strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
     digits = np.asarray([strides, sizes])
     seed_keys = seeds @ digits[0]
-    if derivations:
-        return _semi_naive(factors, digits, seed_keys, derivations=True)
     # formed only now: out-of-range rows could alias in-range keys
     memo_key = (tuple(map(id, factors)), _sorted_distinct(seed_keys).tobytes())
     # an entry holds its factors, so no id in a live key is reused
@@ -832,7 +827,7 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
 
 
 def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
-                seed_keys: np.ndarray, derivations: bool = False):
+                seed_keys: np.ndarray) -> np.ndarray:
     """The closure for any signature, and the tests' reference for
     ``_right_closure``.  Semi-naive: round r applies each k-ary operation
     only to argument tuples holding a row found in round r-1.  For
@@ -841,52 +836,33 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
     evaluated once.  A candidate's key is the sum of one lookup per
     coordinate (``_key_parts``), with no grid of its rows.  Membership is
     one byte per key, and candidates are marked about ``_CHUNK`` at a
-    time (with derivations, all of one operation's in a round at once).
-    Once every key of the product is seen, checked at the start of each
-    argument position and after each mark, nothing new can be found, and
-    the closure stops.
-
-    With ``derivations`` it also returns each row's first derivation in
-    the order (round, operation in signature order, argument positions in
-    the sorted rows at the round's start), as ``(when, op, args)``: op
-    None and the index of a seed row (round 0 holds the seeds, then the
-    constants), or an operation name and its argument rows.
+    time.  Once every key of the product is seen, checked at the start of
+    each argument position and after each mark, nothing new can be found,
+    and the closure stops.
     """
-    strides = digits[0].tolist()
     total = int(np.prod(digits[1]))
     sig = factors[0].signature.ops
-    consts = [(op, sum(st * int(a.tables[op][()])
-                       for st, a in zip(strides, factors)))
-              for op, k in sig if k == 0]
-    start = seed_keys.tolist() + [key for _, key in consts]
     state = np.zeros(total, np.uint8)  # 0 unseen, 1 new, 2 older
-    state[start] = 1
-    how: dict = {}
-    for j, key in enumerate(start if derivations else ()):
-        c = j - len(seed_keys)
-        how.setdefault(key, ((0, j), None, j) if c < 0
-                       else ((0, j), consts[c][0], ()))
+    state[seed_keys] = 1
+    state[np.asarray([[int(a.tables[op][()]) for a in factors]
+                      for op, k in sig if k == 0]) @ digits[0]] = 1
     lookups, weights, starts = _key_parts(factors, digits)
     sizes, scales = digits[1][:, None], digits[0][:, None]
-    ops = [(oi, op, k) for oi, (op, k) in enumerate(sig) if k]
-    rnd, grew = 0, True
+    grew = True
     while grew:
         known = state.nonzero()[0]
         older = state[known] == 2
         fresh = len(known) - np.count_nonzero(older)
         state[known] = 2
-        rnd += 1
         # the rows, new ones first, so that each argument position ranges
-        # over a span of them; ``order`` maps them back to key order
-        order = older.argsort(kind="stable")
-        cols = known[order] // scales % sizes
-        rows = cols.T if derivations else None
+        # over a span of them
+        cols = known[older.argsort(kind="stable")] // scales % sizes
         offsets = {}
         for k, weight in weights.items():
             offsets[k] = [cols * w for w in weight] + [cols]
             offsets[k][0] = offsets[k][0] + starts[k]
         found, count, grew = [], 0, 0
-        for oi, op, k in ops:
+        for op, k in sig:
             for i in range(k):
                 # the product is full (grew counts a repeated key once per
                 # repeat, so it can only be full when this holds)
@@ -894,25 +870,17 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
                     break
                 spans = [slice(fresh, None)] * i + [slice(fresh)] \
                     + [slice(None)] * (k - i - 1)
-                for keys, at in _apply(lookups[op], offsets[k], spans,
-                                       derivations):
-                    found.append((keys, at) if derivations else keys.ravel())
+                for keys in _apply(lookups[op], offsets[k], spans):
+                    found.append(keys.ravel())
                     count += keys.size
-                    if count >= _CHUNK and not derivations:
+                    if count >= _CHUNK:
                         grew += _mark(found, state)
                         found, count = [], 0
                         if len(known) + grew >= total and state.all():
                             break
-            if derivations and found:
-                grew += _first_derivations(found, order, rows, (rnd, oi), op,
-                                           state, how)
-                found = []
         grew += _mark(found, state)
     keys = state.nonzero()[0]
-    rows = keys[:, None] // digits[0] % digits[1]
-    if derivations:
-        return rows, [how[key] for key in keys.tolist()]
-    return rows
+    return keys[:, None] // digits[0] % digits[1]
 
 
 def _key_parts(factors: Sequence[FinAlgebra], digits: np.ndarray):
@@ -999,12 +967,11 @@ def _sorted_distinct(values: np.ndarray, first: bool = False):
     return (ordered[head], order[head]) if first else ordered[head]
 
 
-def _apply(lookup: np.ndarray, offsets, spans, places: bool):
+def _apply(lookup: np.ndarray, offsets, spans):
     """Keys of one operation over the grid of the row spans, in chunks of
-    shape (c, rows of the last span), each with its argument positions
-    (broadcastable to the chunk's grid) if ``places``.  ``offsets[p]``
-    holds, per coordinate and row, what argument position p adds to the
-    index into ``lookup``; a key is the sum of its coordinates' lookups."""
+    shape (c, rows of the last span).  ``offsets[p]`` holds, per coordinate
+    and row, what argument position p adds to the index into ``lookup``; a
+    key is the sum of its coordinates' lookups."""
     *outer, inner = [o[:, s] for o, s in zip(offsets, spans)]
     shape = tuple(a.shape[1] for a in outer)
     count = math.prod(shape)
@@ -1016,11 +983,7 @@ def _apply(lookup: np.ndarray, offsets, spans, places: bool):
         index = inner[:, None]
         for a, p in zip(outer, picks):
             index = index + a[:, p, None]
-        at = [(s.start or 0) + np.arange(offsets[0].shape[1])[p][:, None]
-              for s, p in zip(spans, picks)] + [
-            np.arange(offsets[0].shape[1])[spans[-1]][None]] if places \
-            else None
-        yield np.add.reduce(lookup[index]), at
+        yield np.add.reduce(lookup[index])
 
 
 def _mark(found, state: np.ndarray) -> int:
@@ -1032,22 +995,3 @@ def _mark(found, state: np.ndarray) -> int:
     state[keys] = 1
     return len(keys)
 
-
-def _first_derivations(found, order, rows, when, op, state, how) -> int:
-    """Record the first derivation of every unseen key in ``found`` (key
-    grids with their argument places), mark them seen; their number."""
-    keys = np.concatenate([k.ravel() for k, _ in found])
-    pos = [np.concatenate([np.broadcast_to(order[at[p]], k.shape).ravel()
-                           for k, at in found])
-           for p in range(len(found[0][1]))]
-    unseen = state[keys] == 0
-    keys, pos = keys[unseen], [p[unseen] for p in pos]
-    srt = np.lexsort(pos[::-1] + [keys])
-    first = srt[_sorted_distinct(keys[srt], first=True)[1]]
-    by_key = rows[order.argsort()]
-    for key, *at in zip(keys[first].tolist(),
-                        *(p[first].tolist() for p in pos)):
-        how[key] = (when + (tuple(at),), op,
-                    tuple(map(tuple, by_key[at].tolist())))
-    state[keys[first]] = 1
-    return len(first)

@@ -44,7 +44,7 @@ import os
 import numpy as np
 
 from .commutators import WeightedCospan
-from .conditions import AdmissibleDiagram
+from .conditions import REFLECTION_MODES, AdmissibleDiagram
 from .core import (FinAlgebra, Hom, PointObject, Signature, ValidationError,
                    _map_array, check_hom, generate_congruence,
                    hom_from_table)
@@ -115,13 +115,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _str(obj: dict, key: str, where: str, default=None) -> str:
+    """The string ``obj[key]``; required unless a ``default`` is given."""
+    value = _need(obj, key, where) if default is None \
+        else obj.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}.{key}: expected a string")
+    return value
+
+
 def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ValidationError(f"{where}: expected an array of integers")
     return value
 
 
-def _signature_from_json(ops_json, basepoint_op, where: str) -> Signature:
+def _signature_from_json(obj: dict, where: str) -> Signature:
+    ops_json = _need(obj, "signature", where)
+    basepoint_op = _str(obj, "basepoint_op", where)
     if not isinstance(ops_json, list):
         raise ValidationError(f"{where}.signature: expected an array")
     ops = []
@@ -133,7 +144,7 @@ def _signature_from_json(ops_json, basepoint_op, where: str) -> Signature:
                 f"{where}.signature[{i}]: need string 'op' and integer"
                 " 'arity'")
         ops.append((op, arity))
-    return Signature(ops=tuple(ops), basepoint_op=str(basepoint_op))
+    return Signature(ops=tuple(ops), basepoint_op=basepoint_op)
 
 
 def _signature_to_json(sig: Signature) -> list[dict]:
@@ -161,8 +172,7 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict, where: str = "algebra") -> FinAlgebra:
-    sig = _signature_from_json(_need(obj, "signature", where),
-                               _need(obj, "basepoint_op", where), where)
+    sig = _signature_from_json(obj, where)
     size = _need(obj, "size", where)
     if not _is_int(size) or size < 1:
         raise ValidationError(f"{where}.size: expected a positive integer")
@@ -185,7 +195,7 @@ def algebra_from_json(obj: dict, where: str = "algebra") -> FinAlgebra:
                 f"{where}.labels: expected {size} strings")
         labels = tuple(labels)
     return FinAlgebra(sig, size, tables,
-                      name=str(obj.get("name", "")), labels=labels)
+                      name=_str(obj, "name", where, ""), labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +216,7 @@ def profile_to_json(p: VarietyProfile) -> dict:
 
 
 def profile_from_json(obj: dict, where: str = "profile") -> VarietyProfile:
-    sig = _signature_from_json(_need(obj, "signature", where),
-                               _need(obj, "basepoint_op", where), where)
+    sig = _signature_from_json(obj, where)
     identities = _need(obj, "identities", where)
     if not isinstance(identities, list) or not all(
             isinstance(t, str) for t in identities):
@@ -221,7 +230,7 @@ def profile_from_json(obj: dict, where: str = "profile") -> VarietyProfile:
         raise ValidationError(f"{where}.ssh_certified: expected true or"
                               " false")
     return VarietyProfile(
-        name=str(_need(obj, "name", where)),
+        name=_str(obj, "name", where),
         signature=sig,
         identities=tuple(identities),
         malcev_witness=obj.get("malcev_witness"),
@@ -288,7 +297,7 @@ def diagram_from_json(obj: dict, resolve,
         homs[role] = _role_hom(_need(obj, "homs", where), role, algs[dn],
                                algs[cn], f"{where}.homs",
                                strict=role != "gamma")
-    return AdmissibleDiagram(name=str(obj.get("name", "")), **homs)
+    return AdmissibleDiagram(name=_str(obj, "name", where, ""), **homs)
 
 
 def cospan_from_json(obj: dict, resolve,
@@ -297,7 +306,7 @@ def cospan_from_json(obj: dict, resolve,
     homs = {role: _role_hom(_need(obj, "homs", where), role, algs[dn],
                             algs[cn], f"{where}.homs")
             for role, dn, cn in COSPAN_ROLES}
-    return WeightedCospan(name=str(obj.get("name", "")), **homs)
+    return WeightedCospan(name=_str(obj, "name", where, ""), **homs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +328,9 @@ def _pairs_to_congruence(alg: FinAlgebra, pairs, where: str):
 
 def reflection_from_json(obj: dict, resolve, where: str = "reflection"):
     """Returns ``(mode, p, carrier, R, S)`` ready for the instance checker."""
-    mode = str(_need(obj, "mode", where))
+    if (mode := _need(obj, "mode", where)) not in REFLECTION_MODES:
+        raise ValidationError(f"{where}.mode: expected one of"
+                              f" {REFLECTION_MODES}")
     algs = _role_algebras(obj, ("E", "B", "T"), resolve, where)
     p = _role_hom(obj, "p", algs["E"], algs["B"], where)
     if mode == "points":

@@ -213,6 +213,54 @@ def naive_closure(factors, seeds) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# reference: the fill-in search replayed pair by pair
+
+
+def reference_fill_in(d):
+    """What ``conditions.admissible`` decides, replayed in plain Python:
+    ``("conflict", element, values, derivations, involved)`` for the first
+    pair that gives a pullback element a second value, else ``("phi",
+    map)``, or None if the map is partial.  Round 0 settles the seeds, then
+    the constants; each later round applies each operation, in signature
+    order, to the tuples of the pairs known at the round's start, in
+    ``itertools.product`` order, settling each result as it comes.
+    """
+    square = core.pullback(d.f, d.g, d.r, d.s)
+    P, D = square.carrier, d.target
+    value, how = {}, {}
+
+    def settle(p, v, der):
+        if p not in value:
+            value[p], how[p] = v, der
+        elif value[p] != v:
+            ders = (how[p], der)
+            involved = {p}.union(*((q for q, _ in args) for op, args in ders
+                                   if op not in ("seed-e1", "seed-e2")))
+            return "conflict", p, (value[p], v), ders, tuple(sorted(involved))
+
+    legs = ((square.induced["e1"], d.alpha, "seed-e1"),
+            (square.induced["e2"], d.gamma, "seed-e2"))
+    start = [(int(e.map[x]), int(leg.map[x]), (tag, x))
+             for e, leg, tag in legs for x in range(e.dom.size)]
+    start += [(int(P.tables[op][()]), int(D.tables[op][()]), (op, ()))
+              for op, k in P.signature.ops if k == 0]
+    for pair in start:
+        if conflict := settle(*pair):
+            return conflict
+    known = []
+    while len(value) > len(known):
+        known = sorted(value.items())
+        for op, k in P.signature.ops:
+            for args in itertools.product(known, repeat=k) if k else ():
+                p = int(P.tables[op][tuple(q for q, _ in args)])
+                v = int(D.tables[op][tuple(w for _, w in args)])
+                if conflict := settle(p, v, (op, args)):
+                    return conflict
+    return ("phi", [value[p] for p in range(P.size)]) \
+        if len(value) == P.size else None
+
+
+# ---------------------------------------------------------------------------
 # helpers shared across modules
 
 

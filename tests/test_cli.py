@@ -9,10 +9,12 @@ import sys
 
 import pytest
 
-from commwb import _kernel_search as kernel_search, cli
+from commwb import _kernel_search as kernel_search, cli, conditions
 from commwb._kernel_search import ternary_kernel_words
-from commwb.core import ValidationError, generate_subuniverse
-from commwb.fileio import algebra_to_json, canonical_dumps
+from commwb.conditions import AdmissibleDiagram
+from commwb.core import (ValidationError, generate_subuniverse, identity_hom,
+                         zero_hom)
+from commwb.fileio import algebra_to_json, canonical_dumps, diagram_to_json
 from commwb.varieties import builtin_library, cyclic_group, symmetric_group
 from test_core import _not_quite_groups
 
@@ -249,6 +251,26 @@ def test_check_ssh_on_catalogue_diagrams(capsys):
     assert report["result"]["witnesses"][0][0] == "fill-in-conflict"
 
 
+def test_check_ssh_refuses_a_pullback_above_the_fill_in_limit(
+        capsys, tmp_path, monkeypatch):
+    # Z6 x Z6 over Z1: the kernel images commute, so the fill-in search
+    # runs, on a pullback of 36 elements where mul takes 36^2 tuples
+    z6, z1 = cyclic_group(6), cyclic_group(1)
+    d = AdmissibleDiagram(
+        f=zero_hom(z6, z1), r=zero_hom(z1, z6), g=zero_hom(z6, z1),
+        s=zero_hom(z1, z6), alpha=identity_hom(z6), beta=zero_hom(z1, z6),
+        gamma=identity_hom(z6))
+    path = tmp_path / "z6-z6.json"
+    path.write_text(canonical_dumps(diagram_to_json(d)))
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_KEYS", 36 ** 2 - 1)
+    code, out, err = _run(capsys, "check", "ssh", "--file", str(path))
+    assert code == 2 and out == ""
+    assert "tuples, above MAX_CLOSURE_KEYS = 1,295" in err
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_KEYS", 36 ** 2)
+    code, report = _run_json(capsys, "check", "ssh", "--file", str(path))
+    assert code == 0 and report["result"]["instance_satisfies"] is True
+
+
 def test_check_sh_and_reflect(capsys):
     code, report = _run_json(capsys, "check", "sh", "--algebra", "Z6",
                              "--cong", "0~1", "--cong", "0~2")
@@ -303,6 +325,20 @@ def test_a_malformed_map_in_a_file_exits_two(capsys, tmp_path, argv,
     assert code == 2 and out == ""
     # the message names the file and the field
     assert err.startswith(f"commwb: error: {path}{message}")
+
+
+@pytest.mark.parametrize("mode", ["bogus", ["points"]])
+def test_check_reflect_refuses_an_unknown_mode(capsys, tmp_path, mode):
+    # with a points-shaped carrier: read as basic, the carrier took the blame
+    def edit(obj):
+        _points_instance(obj, [0, 1, 0, 1], [0, 2])
+        obj["mode"] = mode
+
+    path = _malformed_file(tmp_path, "reflect-basic.json", edit)
+    code, out, err = _run(capsys, "check", "reflect", "--file", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"commwb: error: {path}.mode: expected one of"
+                          " ('points', 'basic')")
 
 
 def test_weighted_strategies_and_the_non_proper_cospan(capsys):
@@ -535,6 +571,7 @@ def test_unknown_subcommand_is_a_parser_error():
     ("commutator", "smith", "--algebra", "S3",
      "--cong", "e~(12)", "--cong", "e~(123)"),
     ("examples", "run", "hslat-ssh"),
+    ("check", "ssh", "--diagram", "groups/s3-s3-full-nonabelian"),
 ])
 def test_a_cold_call_does_not_import_numpy_ma(argv):
     # np.unique imports numpy.ma on its first call, 12-20 ms of a cold call

@@ -14,6 +14,8 @@ from commwb.core import (PointObject, ValidationError, check_hom,
                          generate_congruence, generate_subuniverse,
                          identity_hom, zero_hom)
 from commwb.varieties import cyclic_group, symmetric_group
+from conftest import reference_fill_in
+from sweep_inputs import fill_in_diagrams
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +91,26 @@ def test_fill_in_conflicts_are_frozen(lib):
         assert out.exists == (key not in FROZEN_CONFLICTS)
 
 
+def _swept_diagrams(lib):
+    """The catalogue diagrams, then every pair of subalgebra inclusions of
+    S3, chain3 and diamond."""
+    yield from (lib.diagrams[key] for key in sorted(lib.diagrams))
+    for key in ("S3", "chain3", "diamond"):
+        yield from fill_in_diagrams(lib, key)
+
+
 def test_ssh_conflict_derivations_reevaluate(lib):
-    for key in FROZEN_CONFLICTS:
-        d = lib.diagrams[key]
+    conflicts = 0
+    for d in _swept_diagrams(lib):
         out = admissible(d)
-        assert not out.exists
+        if out.exists:
+            continue
+        conflicts += 1
         c = out.conflict
         P = out.square.carrier
         D = d.target
         e1, e2 = out.square.induced["e1"], out.square.induced["e2"]
+        assert c.values[0] != c.values[1]
         for (p, v), der in zip(((c.element, val) for val in c.values),
                                c.derivations):
             if der[0] == "seed-e1":
@@ -112,6 +125,27 @@ def test_ssh_conflict_derivations_reevaluate(lib):
                 es = [e for _, e in args]
                 assert int(P.tables[op][tuple(qs)]) == p
                 assert int(D.tables[op][tuple(es)]) == v
+    assert conflicts == 2 + 21 + 9 + 14
+
+
+def test_fill_in_search_matches_the_reference_replay(lib):
+    for d in _swept_diagrams(lib):
+        out = admissible(d)
+        c = out.conflict
+        got = ("phi", out.phi.map.tolist()) if out.exists else (
+            "conflict", c.element, c.values, c.derivations, c.involved)
+        assert got == reference_fill_in(d), d.name
+
+
+def test_fill_in_search_refuses_a_pullback_above_its_limit(lib,
+                                                           monkeypatch):
+    # S3 x S3 has 36 elements, and mul takes 36^2 argument tuples
+    d = lib.diagrams["groups/s3-s3-full-nonabelian"]
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_KEYS", 36 ** 2 - 1)
+    with pytest.raises(ValidationError, match="MAX_CLOSURE_KEYS = 1,295"):
+        admissible(d)
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_KEYS", 36 ** 2)
+    assert admissible(d).conflict.element == 8
 
 
 def test_ssh_is_lazy_when_hypothesis_fails(lib, monkeypatch):

@@ -338,24 +338,18 @@ def _nabla_smith_seeds(alg):
 def test_semi_naive_closure_is_the_same_in_small_chunks(monkeypatch, lib):
     # the same check on carriers that are no group, so on the other route;
     # the second seed set closes to the whole of chain3^4, where the engine
-    # stops early, with derivations and without
+    # stops early
     chain3 = lib.algebra("chain3")
     cases = [(lib.algebra("chain2xchain3"),
               [(1, 0, 4, 5), (2, 3, 3, 0), (5, 5, 1, 2)]),
              (chain3, _nabla_smith_seeds(chain3))]
     whole = [power_closure(alg, seeds) for alg, seeds in cases]
-    derived = [_run_semi_naive((alg,) * 4, seeds, derivations=True)
-               for alg, seeds in cases]
     assert len(whole[0]) > 7 and len(whole[1]) == 3 ** 4
     monkeypatch.setattr(core, "_CHUNK", 7)
     core._MEMO.clear()  # else the second call returns the memo's rows
-    for (alg, seeds), rows, (first_rows, how) in zip(cases, whole, derived):
+    for (alg, seeds), rows in zip(cases, whole):
         assert np.array_equal(power_closure(alg, seeds), rows)
-        assert np.array_equal(first_rows, rows)
-        small_rows, small_how = _run_semi_naive((alg,) * 4, seeds,
-                                                derivations=True)
-        assert np.array_equal(small_rows, rows) and small_how == how
-        _assert_derivations_give_their_rows((alg,) * 4, seeds, rows, how)
+        assert np.array_equal(_run_semi_naive((alg,) * 4, seeds), rows)
 
 
 def test_closure_under_a_ternary_operation_matches_brute_closure():
@@ -458,18 +452,6 @@ def test_closure_memo_keeps_each_algebra_apart():
     key = next(iter(core._MEMO.entries))
     core._MEMO.entries[key] = ((swapped,), np.arange(6)[:, None])
     assert generate_subuniverse(z6, [2]).members == (0, 2, 4)
-
-
-def test_closure_memo_never_serves_derivations():
-    d4 = dihedral_group(4)
-    seeds = np.asarray([(1, 2), (3, 0)])
-    plain = core._closure((d4, d4), seeds)
-    rows, how = core._closure((d4, d4), seeds, derivations=True)
-    assert rows is not plain and rows.flags.writeable
-    assert np.array_equal(rows, plain) and len(how) == len(rows)
-    core._MEMO.clear()
-    core._closure((d4, d4), seeds, derivations=True)
-    assert not core._MEMO.entries
 
 
 def _bytes_cache(limit: list):
@@ -641,24 +623,9 @@ def test_closure_over_different_groups_takes_the_semi_naive_engine(
 HEYTING = ("chain2", "chain3", "chain4", "diamond", "chain2xchain3")
 
 
-def _run_semi_naive(factors, seeds, derivations=False):
+def _run_semi_naive(factors, seeds):
     """``core._semi_naive`` called directly on the seed rows."""
-    return core._semi_naive(factors, *_seed_keys(factors, seeds),
-                            derivations)
-
-
-def _assert_derivations_give_their_rows(factors, seeds, rows, how):
-    """Every row's first derivation evaluates to that row: the seed row it
-    names, the constants, or the operation on its argument rows."""
-    assert len(how) == len(rows)
-    for row, (_, op, args) in zip(rows.tolist(), how):
-        if op is None:
-            assert list(seeds[args]) == row
-        elif args == ():
-            assert [int(a.tables[op][()]) for a in factors] == row
-        else:
-            assert [int(a.tables[op][tuple(arg[j] for arg in args)])
-                    for j, a in enumerate(factors)] == row
+    return core._semi_naive(factors, *_seed_keys(factors, seeds))
 
 
 @pytest.mark.parametrize("key", HEYTING)
@@ -694,9 +661,6 @@ def test_semi_naive_engine_over_different_factors_matches_the_naive_fixpoint(
     for seeds in seed_sets:
         want = naive_closure(factors, seeds)
         assert np.array_equal(_run_semi_naive(factors, seeds), want), seeds
-        rows, how = _run_semi_naive(factors, seeds, derivations=True)
-        assert np.array_equal(rows, want), seeds
-        _assert_derivations_give_their_rows(factors, seeds, rows, how)
     assert len(naive_closure(factors, everything)) == 24
 
 
@@ -704,15 +668,10 @@ def test_no_candidate_is_evaluated_once_the_product_is_full(monkeypatch,
                                                             lib):
     chain3 = lib.algebra("chain3")
     filled, late = [False], []
-    mark, derive, apply = core._mark, core._first_derivations, core._apply
+    mark, apply = core._mark, core._apply
 
     def marking(found, state):
         new = mark(found, state)
-        filled[0] = bool(state.all())
-        return new
-
-    def deriving(found, order, rows, when, op, state, how):
-        new = derive(found, order, rows, when, op, state, how)
         filled[0] = bool(state.all())
         return new
 
@@ -722,21 +681,16 @@ def test_no_candidate_is_evaluated_once_the_product_is_full(monkeypatch,
             yield chunk
 
     monkeypatch.setattr(core, "_mark", marking)
-    monkeypatch.setattr(core, "_first_derivations", deriving)
     monkeypatch.setattr(core, "_apply", applying)
     monkeypatch.setattr(core, "_CHUNK", 7)  # marks within a round
     seeds = _nabla_smith_seeds(chain3)
-    for derivations in (False, True):
-        filled[0], late[:] = False, []
-        out = _run_semi_naive((chain3,) * 4, seeds, derivations)
-        rows = out[0] if derivations else out
-        assert len(rows) == 3 ** 4 and late and not any(late)
+    rows = _run_semi_naive((chain3,) * 4, seeds)
+    assert len(rows) == 3 ** 4 and late and not any(late)
     # seeds that are the whole product: no round evaluates anything
     everything = list(itertools.product(range(3), repeat=3))
-    for derivations in (False, True):
-        filled[0], late[:] = False, []
-        _run_semi_naive((chain3,) * 3, everything, derivations)
-        assert not late
+    filled[0], late[:] = False, []
+    _run_semi_naive((chain3,) * 3, everything)
+    assert not late
 
 
 def test_a_key_found_many_times_does_not_make_the_product_full(monkeypatch):

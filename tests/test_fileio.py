@@ -2,6 +2,7 @@
 
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -124,6 +125,47 @@ def test_json_booleans_are_not_integers():
                        match=r"algebra\.signature\[1\]: need string 'op'"
                              r" and integer 'arity'"):
         algebra_from_json(s3)
+
+
+@pytest.mark.parametrize("name", [["x"], {"a": 1}, [1], 3.5])
+@pytest.mark.parametrize("kind", ["algebra", "profile", "diagram", "cospan"])
+def test_a_name_that_is_not_a_string_is_refused(lib, kind, name):
+    # str() would load ["x"] as an object named "['x']"
+    obj, read = {
+        "algebra": (algebra_to_json(symmetric_group(3)), algebra_from_json),
+        "profile": (profile_to_json(lib.profiles["groups"]),
+                    profile_from_json),
+        "diagram": (diagram_to_json(lib.diagrams["paper/hslat-adm"]),
+                    partial(diagram_from_json, resolve=None)),
+        "cospan": (cospan_to_json(lib.cospans["paper/s3-w"]),
+                   partial(cospan_from_json, resolve=None)),
+    }[kind]
+    obj["name"] = name
+    with pytest.raises(ValidationError,
+                       match=rf"^{kind}\.name: expected a string$"):
+        read(obj)
+
+
+def test_a_basepoint_op_that_is_not_a_string_names_its_field(lib):
+    s3 = algebra_to_json(symmetric_group(3))
+    s3["basepoint_op"] = ["e"]
+    with pytest.raises(ValidationError,
+                       match=r"^algebra\.basepoint_op: expected a string$"):
+        algebra_from_json(s3)
+    d = diagram_to_json(lib.diagrams["paper/hslat-adm"])
+    d["algebras"]["B"]["basepoint_op"] = 1
+    with pytest.raises(ValidationError, match=r"^diagram\.algebras\.B\."
+                                              r"basepoint_op: expected"):
+        diagram_from_json(d, resolve=None)
+    groups = profile_to_json(lib.profiles["groups"])
+    groups["basepoint_op"] = None
+    with pytest.raises(ValidationError,
+                       match=r"^profile\.basepoint_op: expected a string$"):
+        profile_from_json(groups)
+    # an absent name is still the empty one
+    s3["basepoint_op"] = "e"
+    del s3["name"]
+    assert algebra_from_json(s3).name == ""
 
 
 # ---------------------------------------------------------------------------
