@@ -22,6 +22,8 @@ instead, and S is never built: there the trace is the subgroup
 [K, L] = <[k, l]> (Mantovani–Metere, *Normalities and commutators*,
 J. Algebra 324, 2010), and S, a subgroup over all of K x L whose kernel
 over K x L is that trace, has the coset k·l·[K, L] above each (k, l).
+The cooperator, w-normality ([Im w, X] ⊆ X) and Smith's group route all
+ask ``_group_commutator``, kept in one bounded memo, ``_COMMUTATORS``.
 On a Heyting semilattice (``core._heyting_tables``) the commutator of
 two filters is their intersection (``higgins_binary``), and S is not
 built either.  The trace stays the route for every other signature, for
@@ -34,11 +36,11 @@ normalisation, w-normal closures, and verdicts for when two morphisms
 commute over a weight.  Smith has two exact routes beside the standard
 fourfold-matrix fixpoint, which stays for every other signature and as
 the tests' reference: on a group, the cosets of the commutator of the
-normal subgroups (J.D.H. Smith, *Mal'cev Varieties*, 1976); on a Heyting
-semilattice (``core._heyting_tables``), the meet of the two congruences,
-since Heyting semilattices form a congruence-distributive variety, where
-[R, S] = R ∧ S (Freese–McKenzie, *Commutator Theory for Congruence
-Modular Varieties*, 1987).
+normal subgroups, itself normal (J.D.H. Smith, *Mal'cev Varieties*,
+1976); on a Heyting semilattice (``core._heyting_tables``), the meet of
+the two congruences, since Heyting semilattices form a
+congruence-distributive variety, where [R, S] = R ∧ S (Freese–McKenzie,
+*Commutator Theory for Congruence Modular Varieties*, 1987).
 """
 
 from __future__ import annotations
@@ -54,17 +56,17 @@ from .core import (
     Hom,
     Subuniverse,
     ValidationError,
+    _Cache,
     generate_congruence,
     generate_subuniverse,
     image_sub,
     power_closure,
     _group_tables,
     _heyting_tables,
-    _normal_cosets,
     _require_group,
     _sorted_distinct,
 )
-from . import terms
+from . import core, terms
 from ._kernel_search import (DEFAULT_WORD_BOUND, _code_bits, _lex_order,
                              _local_group_tables, _local_order, _renaming,
                              _search_order, ternary_kernel_words)
@@ -320,10 +322,24 @@ def _bracket(mul: np.ndarray, inv: np.ndarray, a: np.ndarray,
 
 def _group_commutator(D: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
                       K: Subuniverse, L: Subuniverse) -> Subuniverse:
-    """[K, L] of two subgroups: the subgroup generated by every [k, l]."""
+    """[K, L] of two subgroups: the subgroup generated by every [k, l].
+    Kept in ``_COMMUTATORS``; an entry holds its carrier, so no id in a
+    live key is reused."""
+    key = (id(D), K.members, L.members)
+    hit = _COMMUTATORS.get(key)
+    if hit is not None and hit[0] is D:
+        return hit[1]
     grid = _bracket(mul, inv, np.asarray(K.members)[:, None],
                     np.asarray(L.members)[None, :])
-    return generate_subuniverse(D, _sorted_distinct(grid.ravel()))
+    comm = generate_subuniverse(D, _sorted_distinct(grid.ravel()))
+    return _COMMUTATORS.put(key, (D, comm))[1]
+
+
+# (carrier, [K, L]) by (id of the carrier, members of K, members of L),
+# charged 8 bytes a member of K, L and [K, L] and the closure memo's
+# per-entry bytes, within the closure memo's limit
+_COMMUTATORS = _Cache(lambda: core.MAX_MEMO_BYTES, lambda key, entry: 8 * (
+    len(key[1]) + len(key[2]) + len(entry[1])) + core._MEMO_ENTRY_BYTES)
 
 
 def _double_bracket_grid(mul: np.ndarray, inv: np.ndarray, A: np.ndarray,
@@ -535,14 +551,14 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
 
     On a group (``_group_tables``), the cosets of [N_R, N_S], the subgroup
     generated by the commutators [m, n] of the basepoint blocks N_R and
-    N_S (``core._normal_cosets``): for groups the Smith commutator of two
-    congruences is the congruence of the group commutator of their normal
-    subgroups (J.D.H. Smith, *Mal'cev Varieties*, LNM 554, 1976;
-    Freese–McKenzie, *Commutator Theory for Congruence Modular
-    Varieties*, 1987).  On a Heyting semilattice (``_heyting_tables``),
-    the meet R ∧ S: Heyting semilattices form an arithmetical, hence
-    congruence-distributive, variety, and there [R, S] = R ∧ S
-    (Freese–McKenzie).  Otherwise the fourfold-matrix fixpoint of
+    N_S (the memoised ``_group_commutator``), normal because N_R and N_S
+    are: for groups the Smith commutator of two congruences is the
+    congruence of the group commutator of their normal subgroups (J.D.H.
+    Smith, *Mal'cev Varieties*, LNM 554, 1976; Freese–McKenzie, *Commutator
+    Theory for Congruence Modular Varieties*, 1987).  On a Heyting
+    semilattice (``_heyting_tables``), the meet R ∧ S: Heyting
+    semilattices form an arithmetical, hence congruence-distributive,
+    variety, and there [R, S] = R ∧ S (Freese–McKenzie).  Otherwise the fourfold-matrix fixpoint of
     ``_smith_fixpoint``.  R and S centralise each other exactly when the
     result is the diagonal.
     """
@@ -551,9 +567,10 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
     group = _group_tables(D)
     if group is not None:
         mul, inv = group
-        m = np.asarray(normalise(R).members)[:, None]
-        n = np.asarray(normalise(S).members)[None, :]
-        return _normal_cosets(D, mul, inv, _bracket(mul, inv, m, n))
+        N = _group_commutator(D, mul, inv, normalise(R), normalise(S))
+        # x's block is the least member of its coset x·N
+        block = mul[:, np.asarray(N.members)].min(axis=1)
+        return Congruence._trusted(D, tuple(block.tolist()))
     if _heyting_tables(D) is not None:
         # the block of i is the least element with i's pair of blocks
         first: dict = {}
@@ -609,24 +626,11 @@ def _require_into(D: FinAlgebra, h: Hom, role: str) -> None:
         raise ValidationError(f"{role} must land in the carrier")
 
 
-def _conjugates_inside(group, W: Subuniverse, X: Subuniverse) -> bool:
-    """On a group, whether every w·x·w⁻¹ lies in X: [w, x] lies in the
-    subgroup X exactly when w·x·w⁻¹ does, so this is [W, X] ⊆ X."""
-    mul, inv = group
-    w, x = np.asarray(W.members)[:, None], np.asarray(X.members)
-    inside = np.zeros(len(mul), dtype=bool)
-    inside[x] = True
-    return bool(inside[mul[mul[w, x], inv[w]]].all())
-
-
 def is_w_normal(D: FinAlgebra, X: Subuniverse, w: Hom) -> bool:
     """Whether the image of w normalises X: [Im w, X] contained in X.
-    On a group, checked on the conjugates w·x·w⁻¹ without a closure."""
+    On a group, [Im w, X] is the memoised ``_group_commutator``."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
-    group = _group_tables(D)
-    if group is not None:
-        return _conjugates_inside(group, image_sub(w), X)
     return higgins_binary(D, image_sub(w), X).issubset(X)
 
 
@@ -634,14 +638,10 @@ def w_normal_closure(D: FinAlgebra, X: Subuniverse, w: Hom) -> Subuniverse:
     """Least subuniverse above X that the image of w normalises:
     the join of [Im w, X] and X.  Verified w-normal before returning;
     when [Im w, X] already lies in X, the closure is X and that inclusion
-    is the verification (on a group, checked on the conjugates first)."""
+    is the verification."""
     _require_sub_of(D, X, "X")
     _require_into(D, w, "w")
-    W = image_sub(w)
-    group = _group_tables(D)
-    if group is not None and _conjugates_inside(group, W, X):
-        return X
-    comm = higgins_binary(D, W, X)
+    comm = higgins_binary(D, image_sub(w), X)
     if comm.issubset(X):
         return X
     closed = generate_subuniverse(D, set(comm.members) | set(X.members))

@@ -19,7 +19,7 @@ of an image as a subuniverse may, is not kept.  A ``_Cache``, the memo,
 sits in front of the engine: a closure asked again with the same factor
 algebras (the same objects) and the same set of seed rows returns the
 rows of the first call, read-only, within ``MAX_MEMO_BYTES`` (oldest out
-first).
+first), the bound of ``commutators``' memo of group commutators too.
 
 Inputs are checked where they come in: the public constructors, files
 and the CLI.  Results the engine builds closed by construction (generated
@@ -73,8 +73,8 @@ __all__ = [
 # takes one byte per row, before any row is found.
 MAX_CLOSURE_KEYS = 1 << 24
 _CHUNK = 1 << 18      # candidate rows evaluated at once
-# Bytes of closure rows the memo keeps, and what it charges each entry on
-# top of its rows and key (dict slot, key tuple, array header).
+# Bytes each memo keeps (closures here, group commutators in commutators),
+# and what it charges an entry beyond its contents (dict slot, key tuple).
 MAX_MEMO_BYTES = 1 << 24
 _MEMO_ENTRY_BYTES = 512
 

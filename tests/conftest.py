@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from commwb import _kernel_search as kernel_search, core
+from commwb import _kernel_search as kernel_search, commutators, core
 from commwb.varieties import builtin_library
 
 # Per-criterion verdict lines queued by tests/test_acceptance.py; the
@@ -34,11 +34,18 @@ def lib():
     return builtin_library()
 
 
-@pytest.fixture(autouse=True)
-def empty_closure_memo():
-    """Each test starts with no closures remembered, so that the order of
-    the tests cannot hide a fault of a cold closure."""
+def clear_memos() -> None:
+    """Forget every closure and every group commutator remembered."""
     core._MEMO.clear()
+    commutators._COMMUTATORS.clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Each test starts with no closures and no group commutators
+    remembered, so that the order of the tests cannot hide a fault of a
+    cold computation."""
+    clear_memos()
 
 
 @pytest.fixture

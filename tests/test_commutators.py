@@ -17,8 +17,9 @@ from commwb.core import (Congruence, FinAlgebra, Signature, Subuniverse,
 from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
-from conftest import brute_binary_commutator, is_diagonal
+from conftest import brute_binary_commutator, clear_memos, is_diagonal
 from sweep_inputs import library_algebras
+from test_core import _relabel
 
 
 def _sub(alg, *gens):
@@ -94,7 +95,7 @@ def test_joint_generations_from_the_memo_match_cold_ones(monkeypatch, lib):
         got = []
         for call in (cooperator, higgins_binary):
             if cold:
-                core._MEMO.clear()
+                clear_memos()
             got.append(call(D, K, L))
         out, binary = got
         return out.conflict, out.commutator.members, binary.members
@@ -139,6 +140,97 @@ def test_group_routes_match_the_joint_generation_trace(monkeypatch, lib):
         for (K, L), a, b in zip(itertools.product(subs, repeat=2), out,
                                 want):
             assert a == b, (key, K.members, L.members)
+
+
+def _memo_cost(key, comm) -> int:
+    """The charge of one entry of the group-commutator memo: 8 bytes a
+    member of K, L and [K, L], and the closure memo's per-entry bytes."""
+    return 8 * (len(key[1]) + len(key[2]) + len(comm)) \
+        + core._MEMO_ENTRY_BYTES
+
+
+def test_group_questions_from_the_commutator_memo_match_cold_ones(lib):
+    # every ordered pair (K, L) of subgroups of every catalogue group, and
+    # every pair of congruences: twice from a warm memo, then once with
+    # the memo emptied before each call
+    def answers(D, subs, incl, congs, cold):
+        def ask(call, *args):
+            if cold:
+                commutators._COMMUTATORS.clear()
+            return call(D, *args)
+
+        out = []
+        for (K, k), (L, _) in itertools.product(zip(subs, incl), repeat=2):
+            coop = ask(cooperator, K, L)
+            out.append((ask(higgins_binary, K, L).members,
+                        coop.commutator.members, coop.conflict,
+                        ask(is_w_normal, L, k),
+                        ask(w_normal_closure, L, k).members))
+        out += [ask(smith, R, S).block_id
+                for R, S in itertools.product(congs, repeat=2)]
+        return out
+
+    pairs = cong_pairs = 0
+    for key, D in library_algebras(lib, "groups"):
+        subs, congs = subgroups(D), congruences(D)
+        incl = [s.inclusion_hom() for s in subs]
+        pairs += len(subs) ** 2
+        cong_pairs += len(congs) ** 2
+        warm = answers(D, subs, incl, congs, False)
+        assert answers(D, subs, incl, congs, False) == warm, key
+        assert answers(D, subs, incl, congs, True) == warm, key
+    assert (pairs, cong_pairs) == (1194, 399)
+
+
+def test_group_commutator_memo_keeps_relabelled_copies_apart():
+    # r2 (2) is central in D4 and s (4) is not; in the copy they trade
+    # names, so (0, 2) is a subgroup of both, [D4, (0, 2)] trivial in D4
+    # and (0, 4) in the copy, where (0, 2) is not normal
+    d4 = dihedral_group(4)
+    copy = _relabel(d4, [0, 1, 4, 3, 2, 5, 6, 7])
+    want = {d4: ((0,), True), copy: ((0, 4), False)}
+    first = {}
+    for _ in range(2):
+        for D in (d4, copy):
+            K, L = Subuniverse(D, range(8)), Subuniverse(D, (0, 2))
+            comm = higgins_binary(D, K, L)
+            normal = is_w_normal(D, L, K.inclusion_hom())
+            assert (comm.members, normal) == want[D], D.name
+            # the second time round, a hit
+            assert first.setdefault(D, comm) is comm
+    assert len(commutators._COMMUTATORS.entries) == 2
+    assert [e[0] for e in commutators._COMMUTATORS.entries.values()] \
+        == [d4, copy]
+    # an entry under d4's key that holds the copy is not a hit
+    key = next(iter(commutators._COMMUTATORS.entries))
+    commutators._COMMUTATORS.entries[key] = (copy, first[copy])
+    K, L = Subuniverse(d4, range(8)), Subuniverse(d4, (0, 2))
+    assert higgins_binary(d4, K, L).members == (0,)
+
+
+def test_group_commutator_memo_drops_its_oldest_entries(monkeypatch):
+    s3 = symmetric_group(3)
+    pairs = [(_sub(s3, 1), _sub(s3, 3)), (_sub(s3, 3), _sub(s3, 4)),
+             (_sub(s3, 1, 3), _sub(s3, 1, 3))]
+    comms = [higgins_binary(s3, K, L) for K, L in pairs]
+    memo = commutators._COMMUTATORS
+    assert [e[1] for e in memo.entries.values()] == comms
+    costs = [_memo_cost(k, c) for k, c in zip(memo.entries, comms)]
+    assert len(memo.entries) == 3 and memo.held == sum(costs)
+    # room for the last two entries only: the first one goes
+    clear_memos()
+    monkeypatch.setattr(core, "MAX_MEMO_BYTES", sum(costs[1:]))
+    again = [higgins_binary(s3, K, L) for K, L in pairs]
+    kept = [e[1] for e in memo.entries.values()]
+    assert len(kept) == 2 and kept[0] is again[1] and kept[1] is again[2]
+    assert memo.held == sum(costs[1:]) == sum(
+        _memo_cost(k, e[1]) for k, e in memo.entries.items())
+    assert [c.members for c in again] == [c.members for c in comms]
+    # an entry above the bound on its own is not kept, and drops nothing
+    monkeypatch.setattr(core, "MAX_MEMO_BYTES", min(costs) - 1)
+    clear_memos()
+    assert higgins_binary(s3, *pairs[0]).members == comms[0].members
+    assert not memo.entries and memo.held == 0
 
 
 def test_basepoint_parts_are_checked_when_an_operation_moves_the_basepoint():

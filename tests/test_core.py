@@ -20,7 +20,7 @@ from commwb.sweeps import congruences, cyclic_subgroups, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, diamond_hslat,
                               dihedral_group, symmetric_group)
 from conftest import (brute_generated_subgroup, brute_congruences,
-                      naive_closure)
+                      clear_memos, naive_closure)
 from sweep_inputs import library_algebras
 
 
@@ -324,7 +324,7 @@ def test_power_closure_is_the_same_in_small_chunks(monkeypatch):
     seeds = [(1, 0, 1, 0), (0, 2, 0, 2), (3, 3, 5, 5)]
     whole = power_closure(d4, seeds)
     monkeypatch.setattr(core, "_CHUNK", 7)
-    core._MEMO.clear()  # else the second call returns the memo's rows
+    clear_memos()  # else the second call returns the memo's rows
     assert np.array_equal(power_closure(d4, seeds), whole)
 
 
@@ -346,7 +346,7 @@ def test_semi_naive_closure_is_the_same_in_small_chunks(monkeypatch, lib):
     whole = [power_closure(alg, seeds) for alg, seeds in cases]
     assert len(whole[0]) > 7 and len(whole[1]) == 3 ** 4
     monkeypatch.setattr(core, "_CHUNK", 7)
-    core._MEMO.clear()  # else the second call returns the memo's rows
+    clear_memos()  # else the second call returns the memo's rows
     for (alg, seeds), rows in zip(cases, whole):
         assert np.array_equal(power_closure(alg, seeds), rows)
         assert np.array_equal(_run_semi_naive((alg,) * 4, seeds), rows)
@@ -407,7 +407,7 @@ def test_closure_memo_hit_returns_the_same_read_only_rows():
     assert again is first and len(core._MEMO.entries) == 1
     with pytest.raises(ValueError):
         again[0, 0] = 1
-    core._MEMO.clear()
+    clear_memos()
     cold = power_closure(d4, seeds)
     assert cold is not first and np.array_equal(cold, first)
 
@@ -422,7 +422,7 @@ def test_closure_memo_drops_its_oldest_rows(monkeypatch):
              for k, r in zip(entries, rows)]
     assert len(entries) == 3 and core._MEMO.held == sum(costs)
     # room for the last two entries only: the first one goes
-    core._MEMO.clear()
+    clear_memos()
     monkeypatch.setattr(core, "MAX_MEMO_BYTES", sum(costs[1:]))
     again = [power_closure(d4, s) for s in seed_sets]
     kept = [r for _, r in core._MEMO.entries.values()]
@@ -431,7 +431,7 @@ def test_closure_memo_drops_its_oldest_rows(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(again, rows))
     # an entry above the bound on its own is not kept, and drops nothing
     monkeypatch.setattr(core, "MAX_MEMO_BYTES", max(costs) - 1)
-    core._MEMO.clear()
+    clear_memos()
     power_closure(d4, seed_sets[0])
     assert not core._MEMO.entries and core._MEMO.held == 0
 
