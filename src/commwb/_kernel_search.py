@@ -34,11 +34,15 @@ one middle element is the identity, so is the other.
   itself.
 
 Each level is indexed once over (row, f) for every factor f its row does
-not end in, sorted on a 64-bit hash of the f-peeled deletions and f, with
-a directory of hash buckets for probing; every hash match is verified on
-the full key.  Both joins run in chunks of about ``_CHUNK`` queries and
-candidates.  Records come out lexicographically in (factor, element), a
-word before its extensions.
+not end in, a block of rows per f, on the f-peeled deletions and f: only
+the deletions other than del_f peel, as del_f has no f-syllable.  Each
+sort key is a 64-bit hash's high bits over the entry, row·3 + f, so one
+in-place sort orders the entries; a directory of buckets of equal high
+bits serves the probes, and every match is verified on the full key and
+the factor.  Growing a level and appending p's last syllable touch only
+the deletions they change.  Both joins run in chunks of about ``_CHUNK``
+queries and candidates.  Records come out lexicographically in (factor,
+element), a word before its extensions.
 
 Level K has 3(n-1)(2(n-1))^(K-1) rows for three factors of order n; a
 search over ``MAX_HALF_WORDS`` is refused before anything is allocated,
@@ -80,16 +84,16 @@ __all__ = ["DEFAULT_WORD_BOUND", "ternary_kernel_words"]
 DEFAULT_WORD_BOUND = 12
 
 # Rows allowed in the deepest stored half-word level, of ⌊(B-1)/2⌋
-# syllables: about 145 bytes each at the search's peak (the level, its
-# index and the index's sort), so about 1.2 GB at the limit, before the
-# records of the words found.
+# syllables: about 130 bytes each at the search's peak (the level, its
+# index and bucket directory, and its cancelling rows), so about 1 GB at
+# the limit, before the records of the words found.
 MAX_HALF_WORDS = 8_000_000
 # Bytes the records of the words found may take: the flat int64 buffer
 # and ``_flatten``'s padded copy, 16(1 + 2B) bytes a word at most, so
 # 1,636,801 words at bound 20.
 MAX_WORD_BYTES = 1 << 30
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 _MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                                      0x165667B19E3779F9, 0xFF51AFD7ED558CCD))
 
@@ -118,13 +122,12 @@ def _peel(tab: _Tables, stacks, f):
 
 
 def _append(tab: _Tables, stacks, f, x):
-    """Packed deletions after appending syllable (f, x); broadcasts."""
+    """Packed deletions other than del_f after appending syllable (f, x),
+    which leaves del_f alone; broadcasts."""
     base, top = _peel(tab, stacks, f)
     y = tab.mul[f, top, x]
-    out = np.where(y == 0, base,
-                   (base << tab.xbits + 2) | ((f + 1) << tab.xbits) | y)
-    d = np.arange(3).reshape((3,) + (1,) * (out.ndim - 1))
-    return np.where(d == f, stacks, out)
+    return np.where(y == 0, base,
+                    (base << tab.xbits + 2) | ((f + 1) << tab.xbits) | y)
 
 
 def _hash(stacks, f) -> np.ndarray:
@@ -141,15 +144,16 @@ def _grow(tab: _Tables, prev: _Level, parents: tuple) -> _Level:
     sizes = [len(parents[f]) * int(tab.ns[f] - 1) for f in range(3)]
     offsets = np.cumsum([0] + sizes)
     stacks = np.empty((3, offsets[-1]), dtype=np.int64)
-    for f in range(3):
+    for f, rows in enumerate(parents):
         w = int(tab.ns[f] - 1)
         xs = np.arange(1, w + 1, dtype=np.int64)
         step = max(1, _CHUNK // max(w, 1))
-        for lo in range(0, len(parents[f]), step):
-            par = parents[f][lo:lo + step]
-            start = int(offsets[f]) + lo * w
-            stacks[:, start:start + len(par) * w] = _append(
-                tab, prev.stacks[:, par, None], f, xs).reshape(3, -1)
+        others = [(f + 1) % 3, (f + 2) % 3]  # appending leaves del_f alone
+        out = stacks[:, offsets[f]:offsets[f + 1]].reshape(3, len(rows), w)
+        for lo in range(0, len(rows), step):
+            par = prev.stacks.take(rows[lo:lo + step], axis=1)[:, :, None]
+            out[f, lo:lo + step] = par[f]
+            out[others, lo:lo + step] = _append(tab, par[others], f, xs)
     return _Level(offsets, parents, stacks)
 
 
@@ -183,10 +187,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _Index(NamedTuple):
-    hashes: np.ndarray   # sorted hashes of the entries' peeled deletions
+    hashes: np.ndarray   # sorted high hash bits of the entries, low bits 0
     ids: np.ndarray      # the entries, row·3 + peeled factor, in that order
     bounds: np.ndarray   # where each bucket (hash >> shift) starts, and ends
     shift: np.uint64
+    high: np.uint64      # the hash bits an entry keeps
 
 
 def _index(tab: _Tables, lev: _Level, parents: tuple):
@@ -194,36 +199,42 @@ def _index(tab: _Tables, lev: _Level, parents: tuple):
     f, on the row's f-peeled deletions, and its cancelling rows, as
     (row·3 + f)·3 + h: those where the top f-element of del_h(row) has an
     inverse x, so that del_h(row·(f, x)) does not end in f."""
-    ids = np.concatenate([p * 3 + f for f, p in enumerate(parents)])
-    hs = np.empty(len(ids), dtype=np.uint64)
-    cancel = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(ids), _CHUNK):
-        e = ids[lo:lo + _CHUNK]
-        keys, tops = _peel(tab, lev.stacks[:, e // 3], e % 3)
-        hs[lo:lo + _CHUNK] = _hash(keys, e % 3)
-        # del_f(row) has no f-syllable, so every nonzero top has h != f
-        h, i = np.nonzero(tops)
-        cancel.append(e[i] * 3 + h)
-    order = np.argsort(hs)
-    hs = hs[order]
-    ids = ids[order]
-    del order
+    # a sort key: the high bits of the entry's hash over its row·3 + f
+    low = (3 * lev.stacks.shape[1] - 1).bit_length()
+    high = ~np.uint64((1 << low) - 1)
+    keys = np.empty(sum(map(len, parents)), dtype=np.uint64)
+    cancel, at = [np.zeros(0, dtype=np.int64)], 0
+    for f, rows in enumerate(parents):
+        # del_f(row) has no f-syllable, so only the other two peel
+        others = np.array([(f + 1) % 3, (f + 2) % 3])
+        for lo in range(0, len(rows), _CHUNK):
+            r = rows[lo:lo + _CHUNK]
+            peeled = lev.stacks.take(r, axis=1)
+            peeled[others], tops = _peel(tab, peeled[others], f)
+            e = r * 3 + f
+            keys[at:at + len(e)] = _hash(peeled, f) & high | e.view(np.uint64)
+            at += len(e)
+            h, i = np.nonzero(tops)
+            cancel.append(e[i] * 3 + others[h])
+    keys.sort()
+    ids = (keys & ~high).view(np.int64)
+    keys &= high
     # about one entry per bucket of equal high hash bits
     bits = max(len(ids).bit_length() - 1, 1)
     shift = np.uint64(64 - bits)
     bounds = np.zeros((1 << bits) + 1, dtype=np.intp)
-    np.cumsum(np.bincount((hs >> shift).astype(np.intp), minlength=1 << bits),
-              out=bounds[1:])
-    return _Index(hs, ids, bounds, shift), np.concatenate(cancel)
+    np.cumsum(np.bincount((keys >> shift).view(np.intp),
+                          minlength=1 << bits), out=bounds[1:])
+    return _Index(keys, ids, bounds, shift, high), np.concatenate(cancel)
 
 
 def _join(tab: _Tables, lev: _Level, index: _Index, f, keys, tops, qh):
     """Matches of queries against the index entries: the query's f-peeled
-    deletions ``keys``, of hash ``qh``, equal the entry row's, and z = t⁻¹·u
-    is not the identity, where t and u are the top f-elements of the query
-    and the row in one deletion other than f (the other one agrees, as the
-    module docstring shows).  Yields (query, row, z) in chunks of about
-    ``_CHUNK`` candidates."""
+    deletions ``keys``, of high hash bits ``qh``, equal the entry row's, and
+    z = t⁻¹·u is not the identity, where t and u are the top f-elements of
+    the query and the row in one deletion other than f (the other one
+    agrees, as the module docstring shows).  Yields (query, row, z) in
+    chunks of about ``_CHUNK`` candidates."""
     bucket = (qh >> index.shift).astype(np.intp)
     lo = index.bounds[bucket]
     cnt = index.bounds[bucket + 1] - lo
@@ -237,7 +248,7 @@ def _join(tab: _Tables, lev: _Level, index: _Index, f, keys, tops, qh):
         hit = index.hashes[pos] == qh[q]
         q, e = q[hit], index.ids[pos[hit]]
         row, g = e // 3, e % 3
-        peeled, u = _peel(tab, lev.stacks[:, row], g)
+        peeled, u = _peel(tab, lev.stacks.take(row, axis=1), g)
         ok = (g == f[q]) & (peeled == keys[:, q]).all(0)
         q, row, g, u = q[ok], row[ok], g[ok], u[:, ok]
         d = (g + 1) % 3
@@ -283,7 +294,7 @@ def _odd_words(tab: _Tables, levels: list, k: int, index: _Index,
     for a in range(0, len(twins), _CHUNK):
         e = index.ids[twins[a:a + _CHUNK]]
         r, f = e // 3, e % 3
-        keys, tops = _peel(tab, lev.stacks[:, r], f)
+        keys, tops = _peel(tab, lev.stacks.take(r, axis=1), f)
         for q, row, x in _join(tab, lev, index, f, keys, tops,
                                hs[twins[a:a + _CHUNK]]):
             yield _records(tab, levels, k, max_len, r[q], [(f[q], x)], row)
@@ -301,14 +312,22 @@ def _even_words(tab: _Tables, levels: list, k: int, index: _Index, cancel,
         e, h = np.divmod(cancel[a:a + _CHUNK], 3)
         r, f = np.divmod(e, 3)
         g = 3 - f - h
-        m = np.arange(len(e))
-        stacks = lev.stacks[:, r]
-        x = tab.inv[f, _peel(tab, stacks, f)[1][h, m]]
-        keys, tops = _peel(tab, _append(tab, stacks, f, x), g)
+        # p's deletions: (f, x) cancels in del_h, joins del_g and leaves
+        # del_f alone; then the g-peel leaves del_g alone
+        keys = lev.stacks.take(r, axis=1)
+        tops = np.zeros_like(keys)
+        # flat views of both, and the flat places of each query's f, h, g
+        kf, tf = keys.reshape(-1), tops.reshape(-1)
+        fi, hi, gi = (d * len(e) + np.arange(len(e)) for d in (f, h, g))
+        kf[hi], x = _peel(tab, kf[hi], f)
+        x = tab.inv[f, x]
+        kf[gi] = _append(tab, kf[gi], f, x)
+        kf[fi], tf[fi] = _peel(tab, kf[fi], g)
+        kf[hi], tf[hi] = _peel(tab, kf[hi], g)
         # q cancels in del_h exactly when del_h(p) does not end in g
-        inverse = tops[h, m] != 0
+        inverse = tf[hi] != 0
         for q, row, z in _join(tab, lev, index, g, keys, tops,
-                               _hash(keys, g)):
+                               _hash(keys, g) & index.high):
             yield _records(tab, levels, k, max_len, r[q],
                            [(f[q], x[q]), (g[q], z)], row, inverse[q])
 

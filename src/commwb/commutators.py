@@ -323,9 +323,9 @@ def _bracket(mul: np.ndarray, inv: np.ndarray, a: np.ndarray,
 def _group_commutator(D: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
                       K: Subuniverse, L: Subuniverse) -> Subuniverse:
     """[K, L] of two subgroups: the subgroup generated by every [k, l].
-    Kept in ``_COMMUTATORS``; an entry holds its carrier, so no id in a
-    live key is reused."""
-    key = (id(D), K.members, L.members)
+    Kept in ``_COMMUTATORS`` under the unordered pair, as [K, L] = [L, K];
+    an entry holds its carrier, so no id in a live key is reused."""
+    key = (id(D),) + tuple(sorted((K.members, L.members)))
     hit = _COMMUTATORS.get(key)
     if hit is not None and hit[0] is D:
         return hit[1]
@@ -335,9 +335,9 @@ def _group_commutator(D: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
     return _COMMUTATORS.put(key, (D, comm))[1]
 
 
-# (carrier, [K, L]) by (id of the carrier, members of K, members of L),
-# charged 8 bytes a member of K, L and [K, L] and the closure memo's
-# per-entry bytes, within the closure memo's limit
+# (carrier, [K, L]) by (id of the carrier, the members of K and of L in
+# sorted order), charged 8 bytes a member of K, L and [K, L] and the
+# closure memo's per-entry bytes, within the closure memo's limit
 _COMMUTATORS = _Cache(lambda: core.MAX_MEMO_BYTES, lambda key, entry: 8 * (
     len(key[1]) + len(key[2]) + len(entry[1])) + core._MEMO_ENTRY_BYTES)
 

@@ -208,6 +208,20 @@ def test_group_commutator_memo_keeps_relabelled_copies_apart():
     assert higgins_binary(d4, K, L).members == (0,)
 
 
+def test_group_commutator_memo_holds_a_pair_and_its_mirror_once():
+    # [K, L] = [L, K] on a group, so asking (L, K) after (K, L) is a hit
+    s3 = symmetric_group(3)
+    K, L = _sub(s3, 1), _sub(s3, 3)
+    comm = higgins_binary(s3, K, L)
+    assert len(commutators._COMMUTATORS.entries) == 1
+    assert higgins_binary(s3, L, K) is comm
+    assert cooperator(s3, L, K).commutator is comm
+    assert len(commutators._COMMUTATORS.entries) == 1
+    # the cold answer of the mirror is the same subgroup
+    clear_memos()
+    assert higgins_binary(s3, L, K).members == comm.members
+
+
 def test_group_commutator_memo_drops_its_oldest_entries(monkeypatch):
     s3 = symmetric_group(3)
     pairs = [(_sub(s3, 1), _sub(s3, 3)), (_sub(s3, 3), _sub(s3, 4)),

@@ -7,6 +7,7 @@ example (two order-2 subgroups and the full group inside S3).
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,52 @@ def test_a_search_whose_hashes_all_collide_finds_the_same_words(monkeypatch):
         np.shape(f), dtype=np.uint64))
     for (subs, bound), buf in zip(cases, want):
         assert _same_buffer(_fresh_search(subs, bound), buf)
+
+
+def test_a_search_in_small_chunks_gives_the_same_buffers(monkeypatch):
+    # at 7, each factor's block of a level above the first, the packed
+    # sort keys written from it and the queries and candidates of every
+    # join split into pieces; the buffers are those of the default chunk
+    s3, d4, q8 = symmetric_group(3), dihedral_group(4), dicyclic_group(2)
+    c3 = (Subuniverse(s3, (0, 3, 4)),) * 3
+    s3_mix = (Subuniverse(s3, (0, 1)), Subuniverse(s3, (0, 2)),
+              Subuniverse(s3, range(6)))
+    d4_mix = (Subuniverse(d4, (0, 4)), Subuniverse(d4, (0, 1, 2, 3)),
+              Subuniverse(d4, (0, 2, 5, 7)))
+    q8_c4s = tuple(Subuniverse(q8, m) for m in ((0, 1, 2, 3), (0, 2, 4, 6),
+                                                (0, 2, 5, 7)))
+    cases = [(subs, bound) for subs in (c3, s3_mix, d4_mix)
+             for bound in (10, 11, 12)] + [(q8_c4s, 10), (q8_c4s, 11)]
+    want = [_fresh_search(subs, bound) for subs, bound in cases]
+    assert [len(w.codes) for w in want] == [
+        240, 480, 1248, 150, 350, 940, 270, 630, 1692, 810, 2430]
+    # bound 11 adds words of odd length: 240 of 11 over (Z3, Z3, Z3)
+    assert ((want[1].codes != 0).sum(1) == 11).sum() == 240
+    monkeypatch.setattr(kernel_search, "_CHUNK", 7)
+    for (subs, bound), buf in zip(cases, want):
+        assert _same_buffer(_fresh_search(subs, bound), buf), bound
+
+
+def test_a_mid_size_search_stays_within_its_memory_peak():
+    # the benchmark's largest cold search, factor orders (8, 8, 16) at
+    # bound 10: 176,792 rows at the top level.  Its traced peak measured
+    # 29.8 MiB, held to 36 MiB (20 % above)
+    d8 = dihedral_group(8)
+    by_order = {}
+    for sub in subgroups(d8):
+        by_order.setdefault(len(sub), []).append(sub)
+    subs = (by_order[8][0], by_order[8][-1], by_order[16][0])
+    tabs, sizes = zip(*(kernel_search._local_group_tables(s) for s in subs))
+    tables = kernel_search._search_tables(tabs, sizes, 10)
+    assert kernel_search._widest_level(sizes, 4) == 176_792
+    tracemalloc.start()
+    try:
+        buf = _SEARCH(tables, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf.codes) == 22_050
+    assert peak < 36 << 20
 
 
 @pytest.fixture
