@@ -7,8 +7,8 @@ finite computation.  The layers, bottom up:
   products, pullbacks, closure generation.
 * :mod:`commwb.terms` — term trees, parsing, vectorized evaluation.
 * :mod:`commwb.varieties` — equational profiles (groups, Heyting
-  semilattices, loops, digroups), identity verification, and the built-in
-  catalogue of named algebras, diagrams and cospans.
+  semilattices, loops), identity verification, and the built-in catalogue
+  of named algebras, diagrams and cospans.
 * :mod:`commwb._kernel_search` — the bounded kernel-word search behind
   the word-oracle strategy.
 * :mod:`commwb.commutators` — cooperators, binary/ternary Higgins

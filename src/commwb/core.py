@@ -3,9 +3,9 @@
 Everything downstream (commutators, condition checkers) reduces to the
 machinery here: subuniverse and congruence generation, products, pullbacks,
 kernels.  One closure engine, ``_closure``, computes every generated
-subalgebra: subuniverses, power closures in ``D^m`` and relations in a
-product of algebras.  It has two routes with the same rows.  In a power
-of one group (one binary, one unary and the basepoint operation, with a
+subalgebra, in a power ``D^m`` of one algebra: subuniverses at m = 1 and
+power closures.  It has two routes with the same rows.  In a power of a
+group (one binary, one unary and the basepoint operation, with a
 group's tables: ``_group_tables``, once per algebra), the group route
 closes the identity under right multiplication by the seeds, adding one
 generator at a time as Dimino's algorithm does; otherwise the semi-naive
@@ -16,10 +16,11 @@ from the tables and once per algebra, whether an algebra is a Heyting
 semilattice, for ``smith``'s meet route.  ``_kept`` keeps these results
 on their object; one whose computation raises, as ``image_sub``'s check
 of an image as a subuniverse may, is not kept.  A ``_Cache``, the memo,
-sits in front of the engine: a closure asked again with the same factor
-algebras (the same objects) and the same set of seed rows returns the
-rows of the first call, read-only, within ``MAX_MEMO_BYTES`` (oldest out
-first), the bound of ``commutators``' memo of group commutators too.
+sits in front of the engine: a closure asked again in the same algebra
+(the same object), at the same width and with the same set of seed rows
+returns the rows of the first call, read-only, within ``MAX_MEMO_BYTES``
+(oldest out first), the bound of ``commutators``' memo of group
+commutators too.
 
 Inputs are checked where they come in: the public constructors, files
 and the CLI.  Results the engine builds closed by construction (generated
@@ -411,7 +412,7 @@ def generate_subuniverse(algebra: FinAlgebra, gens: Iterable[int]) -> Subunivers
     gens = np.fromiter(gens, dtype=np.int64)
     if (bad := _out_of_range(gens, algebra.size)) is not None:
         raise ValidationError(f"generator {bad} out of range")
-    rows = _closure((algebra,), gens[:, None])
+    rows = _closure(algebra, gens[:, None])
     # key order: sorted and distinct, with the constants
     return Subuniverse._trusted(algebra, tuple(rows[:, 0].tolist()))
 
@@ -667,7 +668,7 @@ def power_closure(algebra: FinAlgebra, seeds: Iterable[Sequence[int]],
     rows = np.asarray(seeds, dtype=np.int64).reshape(-1, width)
     if _out_of_range(rows, algebra.size) is not None:
         raise ValidationError("seed out of range")
-    return _closure((algebra,) * width, rows)
+    return _closure(algebra, rows)
 
 
 def _out_of_range(values: np.ndarray, size: int) -> Optional[int]:
@@ -677,37 +678,31 @@ def _out_of_range(values: np.ndarray, size: int) -> Optional[int]:
     return int(bad.flat[0]) if bad.size else None
 
 
-def _closure(factors: Sequence[FinAlgebra], seeds: np.ndarray):
-    """Subalgebra of A1 x ... x Am generated by the rows ``seeds`` (inside
-    the product) and the constants, as a read-only (count, m) array of
-    rows in key order; a row's key is its mixed-radix index, first
-    coordinate first.  The array may be the memo's, from an earlier call
-    with the same factors and the same seed set.  ``_right_closure`` makes
-    it when the factors are one algebra with ``_group_tables``, and
-    ``_semi_naive`` otherwise.
+def _closure(algebra: FinAlgebra, seeds: np.ndarray):
+    """Subalgebra of algebra^m generated by the rows ``seeds`` (m columns)
+    and the constants, as a read-only (count, m) array of rows in key
+    order; a row's key is its base-n index, first coordinate first.  The
+    array may be the memo's, from an earlier call with the same algebra,
+    width and seed set.  ``_right_closure`` makes it when the algebra has
+    ``_group_tables``, and ``_semi_naive`` otherwise.
     """
-    for other in factors[1:]:
-        _check_same_signature(factors[0], other)
-    sizes = [a.size for a in factors]
-    total = math.prod(sizes)
-    if total > MAX_CLOSURE_KEYS:
+    n, m = algebra.size, seeds.shape[1]
+    if n ** m > MAX_CLOSURE_KEYS:
         raise ValidationError(
-            f"closure over a product of {total:,} rows (factor orders"
-            f" {tuple(sizes)}) is above the limit of {MAX_CLOSURE_KEYS:,}")
-    strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    digits = np.asarray([strides, sizes])
-    seed_keys = seeds @ digits[0]
+            f"closure over a product of {n ** m:,} rows (factor orders"
+            f" {(n,) * m}) is above the limit of {MAX_CLOSURE_KEYS:,}")
+    strides = n ** np.arange(m - 1, -1, -1)
+    seed_keys = seeds @ strides
     # formed only now: out-of-range rows could alias in-range keys
-    memo_key = (tuple(map(id, factors)), _sorted_distinct(seed_keys).tobytes())
-    # an entry holds its factors, so no id in a live key is reused
+    memo_key = (id(algebra), m, _sorted_distinct(seed_keys).tobytes())
+    # an entry holds its algebra, so no id in a live key is reused
     hit = _MEMO.get(memo_key)
-    if hit is not None and all(a is b for a, b in zip(hit[0], factors)):
+    if hit is not None and hit[0] is algebra:
         return hit[1]
-    one = all(a is factors[0] for a in factors)
-    route = _right_closure if one and _group_tables(factors[0]) else _semi_naive
-    rows = route(factors, digits, seed_keys)
+    route = _right_closure if _group_tables(algebra) else _semi_naive
+    rows = route(algebra, strides, seed_keys)
     rows.setflags(write=False)
-    return _MEMO.put(memo_key, (tuple(factors), rows))[1]
+    return _MEMO.put(memo_key, (algebra, rows))[1]
 
 
 def _group_tables(algebra: FinAlgebra):
@@ -784,7 +779,7 @@ def _is_heyting(meet: np.ndarray, imp: np.ndarray, top: int) -> bool:
     return True
 
 
-def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
+def _right_closure(algebra: FinAlgebra, strides: np.ndarray,
                    seed_keys: np.ndarray) -> np.ndarray:
     """Subgroup of a power of a group generated by the rows of
     ``seed_keys``: the identity closed under right multiplication by the
@@ -792,8 +787,9 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
     Dimino's algorithm, the next seed not yet found joins the generators
     and is multiplied onto every row so far, the new rows by every
     generator until none is new; each generator at least doubles them."""
-    mul, _ = _group_tables(factors[0])
-    state = np.zeros(np.prod(digits[1]), np.uint8)
+    mul, _ = _group_tables(algebra)
+    n = algebra.size
+    state = np.zeros(n ** len(strides), np.uint8)
 
     def times(keys, gens):
         """Mark the products of the rows of ``keys`` and each of ``gens``
@@ -802,20 +798,20 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
         if len(keys) > step:
             return np.concatenate([times(keys[i:i + step], gens)
                                    for i in range(0, len(keys), step)])
-        rows = keys[:, None] // digits[0] % digits[1]
-        prods = mul[rows[:, None], gens] @ digits[0]
+        rows = keys[:, None] // strides % n
+        prods = mul[rows[:, None], gens] @ strides
         prods = prods[state[prods] == 0]
         if len(gens) > 1 and len(prods) > 1:  # one right factor is injective
             prods = _sorted_distinct(prods)
         state[prods] = 1
         return prods
 
-    found = [digits[:1] @ [a.basepoint for a in factors]]
+    found = [algebra.basepoint * strides.sum(keepdims=True)]
     state[found[0]] = 1
-    gens = np.empty((0, len(factors)), dtype=np.int64)
+    gens = np.empty((0, len(strides)), dtype=np.int64)
     todo = seed_keys[state[seed_keys] == 0]
     while todo.size:
-        gens = np.concatenate([gens, todo[:1, None] // digits[0] % digits[1]])
+        gens = np.concatenate([gens, todo[:1, None] // strides % n])
         new = times(np.concatenate(found), gens[-1:])
         while new.size:
             found.append(new)
@@ -823,10 +819,10 @@ def _right_closure(factors: Sequence[FinAlgebra], digits: np.ndarray,
         todo = todo[1:]  # a group's rows hold it; a bad table cannot loop
         todo = todo[state[todo] == 0]
     keys = np.sort(np.concatenate(found))
-    return keys[:, None] // digits[0] % digits[1]
+    return keys[:, None] // strides % n
 
 
-def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
+def _semi_naive(algebra: FinAlgebra, strides: np.ndarray,
                 seed_keys: np.ndarray) -> np.ndarray:
     """The closure for any signature, and the tests' reference for
     ``_right_closure``.  Semi-naive: round r applies each k-ary operation
@@ -834,20 +830,23 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
     argument position i, positions before i take older rows, position i a
     new row and positions after i any row, so every such tuple is
     evaluated once.  A candidate's key is the sum of one lookup per
-    coordinate (``_key_parts``), with no grid of its rows.  Membership is
-    one byte per key, and candidates are marked about ``_CHUNK`` at a
-    time.  Once every key of the product is seen, checked at the start of
-    each argument position and after each mark, nothing new can be found,
-    and the closure stops.
+    coordinate (``_key_parts``), with no grid of its rows: in coordinate
+    j, the argument at position p of a k-ary op adds its value times
+    n^(k-1-p) to the index into op's lookup, and position 0 also j n^k,
+    where coordinate j's part begins.
+    Membership is one byte per key, and candidates are marked about
+    ``_CHUNK`` at a time.  Once every key of the power is seen, checked at
+    the start of each argument position and after each mark, nothing new
+    can be found, and the closure stops.
     """
-    total = int(np.prod(digits[1]))
-    sig = factors[0].signature.ops
+    n, m, sig = algebra.size, len(strides), algebra.signature.ops
+    total = n ** m
     state = np.zeros(total, np.uint8)  # 0 unseen, 1 new, 2 older
     state[seed_keys] = 1
-    state[np.asarray([[int(a.tables[op][()]) for a in factors]
-                      for op, k in sig if k == 0]) @ digits[0]] = 1
-    lookups, weights, starts = _key_parts(factors, digits)
-    sizes, scales = digits[1][:, None], digits[0][:, None]
+    state[np.asarray([int(algebra.tables[op][()]) for op, k in sig if k == 0])
+          * strides.sum()] = 1
+    lookups = _key_parts(algebra, strides)
+    coord = np.arange(m)[:, None]
     grew = True
     while grew:
         known = state.nonzero()[0]
@@ -856,15 +855,16 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
         state[known] = 2
         # the rows, new ones first, so that each argument position ranges
         # over a span of them
-        cols = known[older.argsort(kind="stable")] // scales % sizes
+        cols = known[older.argsort(kind="stable")] // strides[:, None] % n
         offsets = {}
-        for k, weight in weights.items():
-            offsets[k] = [cols * w for w in weight] + [cols]
-            offsets[k][0] = offsets[k][0] + starts[k]
+        for k in {k for _, k in sig if k}:
+            offsets[k] = [cols * n ** (k - 1 - p) for p in range(k - 1)] \
+                + [cols]
+            offsets[k][0] = offsets[k][0] + coord * n ** k
         found, count, grew = [], 0, 0
         for op, k in sig:
             for i in range(k):
-                # the product is full (grew counts a repeated key once per
+                # the power is full (grew counts a repeated key once per
                 # repeat, so it can only be full when this holds)
                 if len(known) + grew >= total and state.all():
                     break
@@ -880,33 +880,20 @@ def _semi_naive(factors: Sequence[FinAlgebra], digits: np.ndarray,
                             break
         grew += _mark(found, state)
     keys = state.nonzero()[0]
-    return keys[:, None] // digits[0] % digits[1]
+    return keys[:, None] // strides % n
 
 
-def _key_parts(factors: Sequence[FinAlgebra], digits: np.ndarray):
-    """What ``_semi_naive`` reads keys from.  ``lookups[op]`` holds, for
-    each factor j in turn, its table of op flattened and times the stride
-    of coordinate j, so that a key is the sum of one lookup per
-    coordinate.  For a k-ary op, the argument at position p < k-1 adds
-    its coordinate j times ``weights[k][p]`` (n_j^(k-1-p), a column over
-    j) to coordinate j's index, the last argument its coordinate j, and
-    position 0 also ``starts[k]``, where j's part begins.  A power of one
-    algebra keeps these on the algebra, one set per width; at width 1 the
-    lookups are the algebra's own tables."""
-    one = factors[0] if all(a is factors[0] for a in factors) else None
-    kept = _kept(one, "_key_parts", lambda _: {}) if one else {}
-    if len(factors) not in kept:
-        sig, sizes = factors[0].signature.ops, digits[1][:, None]
-        lookups = {op: factors[0].tables[op].ravel() if len(factors) == 1
-                   else np.concatenate([a.tables[op].ravel() for a in factors])
-                   * np.repeat(digits[0], digits[1] ** k)
-                   for op, k in sig if k}
-        weights = {k: [sizes ** (k - 1 - p) for p in range(k - 1)]
-                   for _, k in sig if k}
-        starts = {k: np.cumsum(sizes ** k, axis=0) - sizes ** k
-                  for k in weights}
-        kept[len(factors)] = lookups, weights, starts
-    return kept[len(factors)]
+def _key_parts(algebra: FinAlgebra, strides: np.ndarray):
+    """What ``_semi_naive`` reads keys from in the power with ``strides``:
+    ``lookups[op]`` holds, for each coordinate j in turn, op's table
+    flattened and times the stride of coordinate j, so that a key is the
+    sum of one lookup per coordinate.  Kept on the algebra, one set per
+    width."""
+    kept = _kept(algebra, "_key_parts", lambda _: {})
+    if len(strides) not in kept:
+        kept[len(strides)] = {op: np.outer(strides, algebra.tables[op]).ravel()
+                              for op, k in algebra.signature.ops if k}
+    return kept[len(strides)]
 
 
 class _Cache:
@@ -948,9 +935,9 @@ def _kept(obj, name: str, make):
     return kept[name]
 
 
-# (factors, closure rows) by (ids of the factors, sorted seed keys)
+# (algebra, closure rows) by (id of the algebra, width, sorted seed keys)
 _MEMO = _Cache(lambda: MAX_MEMO_BYTES, lambda key, entry:
-               entry[1].nbytes + len(key[1]) + _MEMO_ENTRY_BYTES)
+               entry[1].nbytes + len(key[2]) + _MEMO_ENTRY_BYTES)
 
 
 def _sorted_distinct(values: np.ndarray, first: bool = False):

@@ -50,7 +50,6 @@ __all__ = [
     "GROUP_SIGNATURE",
     "HSLAT_SIGNATURE",
     "LOOP_SIGNATURE",
-    "DIGROUP_SIGNATURE",
     "cyclic_group",
     "perm_group",
     "symmetric_group",
@@ -68,8 +67,6 @@ HSLAT_SIGNATURE = Signature(ops=(("meet", 2), ("imp", 2), ("top", 0)),
                             basepoint_op="top")
 LOOP_SIGNATURE = Signature(ops=(("mul", 2), ("ldiv", 2), ("rdiv", 2), ("e", 0)),
                            basepoint_op="e")
-DIGROUP_SIGNATURE = Signature(ops=(("lprod", 2), ("rprod", 2), ("inv", 1),
-                                   ("e", 0)), basepoint_op="e")
 
 
 @dataclass(frozen=True)
@@ -193,24 +190,7 @@ def builtin_profiles() -> dict:
         ssh_certified=False,
         notes="divisions make every translation bijective; no witness shipped",
     )
-    digroups = VarietyProfile(
-        name="digroups",
-        signature=DIGROUP_SIGNATURE,
-        identities=(
-            "lprod(lprod(x0, x1), x2) = lprod(x0, lprod(x1, x2))",
-            "rprod(rprod(x0, x1), x2) = rprod(x0, rprod(x1, x2))",
-            "rprod(x0, rprod(x1, x2)) = rprod(x0, lprod(x1, x2))",
-            "rprod(lprod(x0, x1), x2) = lprod(x0, rprod(x1, x2))",
-            "lprod(rprod(x0, x1), x2) = lprod(lprod(x0, x1), x2)",
-            "lprod(e, x0) = x0",
-            "rprod(x0, e) = x0",
-            "lprod(x0, inv(x0)) = e",
-            "rprod(inv(x0), x0) = e",
-        ),
-        ssh_certified=False,
-        notes="two associative products sharing a bar-unit and inverses",
-    )
-    return {p.name: p for p in (groups, hslat, loops, digroups)}
+    return {p.name: p for p in (groups, hslat, loops)}
 
 
 # ---------------------------------------------------------------------------

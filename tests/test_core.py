@@ -349,7 +349,7 @@ def test_semi_naive_closure_is_the_same_in_small_chunks(monkeypatch, lib):
     clear_memos()  # else the second call returns the memo's rows
     for (alg, seeds), rows in zip(cases, whole):
         assert np.array_equal(power_closure(alg, seeds), rows)
-        assert np.array_equal(_run_semi_naive((alg,) * 4, seeds), rows)
+        assert np.array_equal(_run_semi_naive(alg, seeds), rows)
 
 
 def test_closure_under_a_ternary_operation_matches_brute_closure():
@@ -418,7 +418,7 @@ def test_closure_memo_drops_its_oldest_rows(monkeypatch):
     rows = [power_closure(d4, s) for s in seed_sets]
     entries = core._MEMO.entries
     assert [r for _, r in entries.values()] == rows
-    costs = [r.nbytes + len(k[1]) + core._MEMO_ENTRY_BYTES
+    costs = [r.nbytes + len(k[2]) + core._MEMO_ENTRY_BYTES
              for k, r in zip(entries, rows)]
     assert len(entries) == 3 and core._MEMO.held == sum(costs)
     # room for the last two entries only: the first one goes
@@ -446,12 +446,24 @@ def test_closure_memo_keeps_each_algebra_apart():
     assert len(core._MEMO.entries) == 3
     assert [generate_subuniverse(a, [2]).members for a in algebras] == want
     assert len(core._MEMO.entries) == 3
-    assert [entry[0][0] for entry in core._MEMO.entries.values()] \
+    assert [entry[0] for entry in core._MEMO.entries.values()] \
         == list(algebras)
     # an entry under z6's id that holds another algebra is not a hit
     key = next(iter(core._MEMO.entries))
-    core._MEMO.entries[key] = ((swapped,), np.arange(6)[:, None])
+    core._MEMO.entries[key] = (swapped, np.arange(6)[:, None])
     assert generate_subuniverse(z6, [2]).members == (0, 2, 4)
+
+
+def test_closure_memo_keeps_each_width_apart():
+    # (1,) in Z4 and (0, 1) in Z4^2 both have the seed key 1
+    z4 = cyclic_group(4)
+    narrow = power_closure(z4, [(1,)])
+    wide = power_closure(z4, [(0, 1)])
+    assert narrow.tolist() == [[0], [1], [2], [3]]
+    assert wide.tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+    assert len(core._MEMO.entries) == 2
+    assert power_closure(z4, [(1,)]) is narrow
+    assert power_closure(z4, [(0, 1)]) is wide
 
 
 def _bytes_cache(limit: list):
@@ -530,26 +542,19 @@ GROUPS_TO_12 = tuple(f"Z{n}" for n in range(1, 13)) + (
     "V4", "S3", "A3", "A4", "D4", "D5", "D6", "Q8", "Dic3")
 
 
-def _digits(factors):
-    """The strides and sizes of the factors, as ``core._closure`` keys rows."""
-    sizes = [a.size for a in factors]
-    strides = [int(np.prod(sizes[j + 1:])) for j in range(len(sizes))]
-    return np.asarray([strides, sizes])
+def _seed_keys(alg, seeds):
+    """The strides of alg^m, as ``core._closure`` keys rows, and the keys
+    of the seed rows, a 2-d array of m columns."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    strides = alg.size ** np.arange(seeds.shape[1] - 1, -1, -1)
+    return strides, seeds @ strides
 
 
-def _seed_keys(factors, seeds):
-    """The digits of the factors and the keys of the seed rows."""
-    digits = _digits(factors)
-    return digits, np.asarray(seeds, dtype=np.int64).reshape(
-        -1, len(factors)) @ digits[0]
-
-
-def _both_routes(factors, seeds):
+def _both_routes(alg, seeds):
     """The rows of the group route and of the semi-naive engine, each
     called directly on the same seed rows."""
-    keys = _seed_keys(factors, seeds)
-    return (core._right_closure(factors, *keys),
-            core._semi_naive(factors, *keys))
+    keys = _seed_keys(alg, seeds)
+    return (core._right_closure(alg, *keys), core._semi_naive(alg, *keys))
 
 
 def _basepoint_fixing_relabel(alg, seed):
@@ -587,33 +592,13 @@ def test_group_route_matches_the_semi_naive_engine(lib, key):
                   [(last, 1 % alg.size)] * 3 + [(e, e), (last, 0)]]
     for seeds in seed_sets:
         seeds = np.asarray(seeds, dtype=np.int64)
-        width = seeds.shape[1]
-        fast, slow = _both_routes((alg,) * width, seeds)
+        fast, slow = _both_routes(alg, seeds)
         assert np.array_equal(fast, slow), (key, seeds)
         # on the copy, against the reference rows carried over and sorted
-        fast, _ = _both_routes((copy,) * width, perm[seeds])
+        fast, _ = _both_routes(copy, perm[seeds])
         moved = perm[slow]
         moved = moved[np.lexsort(moved.T[::-1])]
         assert np.array_equal(fast, moved), (key, seeds)
-
-
-def test_closure_over_different_groups_takes_the_semi_naive_engine(
-        monkeypatch):
-    def refuse(*args):
-        raise AssertionError("took the group route")
-
-    monkeypatch.setattr(core, "_right_closure", refuse)
-    d4, z3, s3 = dihedral_group(4), cyclic_group(3), symmetric_group(3)
-    for seeds in ([(1, 1, 2)], [(4, 0, 3), (0, 2, 0)], [(5, 1, 1), (4, 2, 5)],
-                  [], [(0, 0, 0)] * 2):
-        got = core._closure((d4, z3, s3), np.asarray(seeds, dtype=np.int64)
-                            .reshape(-1, 3))
-        want = naive_closure((d4, z3, s3), seeds)
-        assert np.array_equal(got, want), seeds
-    # a power of two equal but distinct groups is not a power of one
-    other = cyclic_group(3)
-    assert core._closure((z3, other), np.asarray([[1, 1]])).tolist() == [
-        [0, 0], [1, 1], [2, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +608,9 @@ def test_closure_over_different_groups_takes_the_semi_naive_engine(
 HEYTING = ("chain2", "chain3", "chain4", "diamond", "chain2xchain3")
 
 
-def _run_semi_naive(factors, seeds):
+def _run_semi_naive(alg, seeds):
     """``core._semi_naive`` called directly on the seed rows."""
-    return core._semi_naive(factors, *_seed_keys(factors, seeds))
+    return core._semi_naive(alg, *_seed_keys(alg, seeds))
 
 
 @pytest.mark.parametrize("key", HEYTING)
@@ -643,25 +628,9 @@ def test_semi_naive_engine_matches_the_naive_fixpoint(lib, key):
             + [(bp, l, l) for l in normalise(S).members]
         for seeds in (smith_seeds, joint):
             factors = (alg,) * len(seeds[0])
-            assert np.array_equal(_run_semi_naive(factors, seeds),
+            assert np.array_equal(_run_semi_naive(alg, seeds),
                                   naive_closure(factors, seeds)), \
                 (key, R.block_id, S.block_id, len(seeds[0]))
-
-
-def test_semi_naive_engine_over_different_factors_matches_the_naive_fixpoint(
-        lib):
-    # factors of different orders read their own parts of the lookups
-    factors = tuple(lib.algebra(key) for key in ("chain2", "diamond",
-                                                   "chain3"))
-    everything = list(itertools.product(range(2), range(4), range(3)))
-    rng = np.random.default_rng(15)
-    seed_sets = [[], [(0, 2, 1)], [(1, 0, 0), (0, 3, 2)], everything]
-    seed_sets += [[everything[i] for i in rng.choice(24, size, replace=False)]
-                  for size in (2, 3, 3, 4, 6)]
-    for seeds in seed_sets:
-        want = naive_closure(factors, seeds)
-        assert np.array_equal(_run_semi_naive(factors, seeds), want), seeds
-    assert len(naive_closure(factors, everything)) == 24
 
 
 def test_no_candidate_is_evaluated_once_the_product_is_full(monkeypatch,
@@ -684,12 +653,12 @@ def test_no_candidate_is_evaluated_once_the_product_is_full(monkeypatch,
     monkeypatch.setattr(core, "_apply", applying)
     monkeypatch.setattr(core, "_CHUNK", 7)  # marks within a round
     seeds = _nabla_smith_seeds(chain3)
-    rows = _run_semi_naive((chain3,) * 4, seeds)
+    rows = _run_semi_naive(chain3, seeds)
     assert len(rows) == 3 ** 4 and late and not any(late)
     # seeds that are the whole product: no round evaluates anything
     everything = list(itertools.product(range(3), repeat=3))
     filled[0], late[:] = False, []
-    _run_semi_naive((chain3,) * 3, everything)
+    _run_semi_naive(chain3, everything)
     assert not late
 
 
@@ -703,7 +672,7 @@ def test_a_key_found_many_times_does_not_make_the_product_full(monkeypatch):
                               "top": 4})
     monkeypatch.setattr(core, "_CHUNK", 4)  # a mark after z's four keys
     assert naive_closure((alg,), [(1,)])[:, 0].tolist() == [0, 1, 2, 4]
-    assert _run_semi_naive((alg,), [(1,)])[:, 0].tolist() == [0, 1, 2, 4]
+    assert _run_semi_naive(alg, [(1,)])[:, 0].tolist() == [0, 1, 2, 4]
 
 
 def _not_quite_groups():
@@ -746,10 +715,8 @@ def test_a_table_that_is_not_a_group_takes_the_semi_naive_engine(
         raise AssertionError("took the group route")
 
     monkeypatch.setattr(core, "_right_closure", refuse)
-    got = power_closure(alg, seeds)
-    digits = _digits((alg, alg))
-    keys = np.asarray(seeds) @ digits[0]
-    assert np.array_equal(got, core._semi_naive((alg, alg), digits, keys))
+    assert np.array_equal(power_closure(alg, seeds),
+                          _run_semi_naive(alg, seeds))
     assert core._group_tables(alg) is None
 
 

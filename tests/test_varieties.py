@@ -147,7 +147,7 @@ def test_library_inventory_counts(lib):
     assert set(lib.algebra_profile.values()) == {"groups", "hslat"}
     assert len(lib.diagrams) == 8
     assert len(lib.cospans) == 2
-    assert set(lib.profiles) == {"digroups", "groups", "hslat", "loops"}
+    assert set(lib.profiles) == {"groups", "hslat", "loops"}
 
 
 def test_library_ssh_certification_flags(lib):
