@@ -23,7 +23,9 @@ instead, and S is never built: there the trace is the subgroup
 J. Algebra 324, 2010), and S, a subgroup over all of K x L whose kernel
 over K x L is that trace, has the coset k·l·[K, L] above each (k, l).
 The cooperator, w-normality ([Im w, X] ⊆ X) and Smith's group route all
-ask ``_group_commutator``, kept in one bounded memo, ``_COMMUTATORS``.
+ask ``_group_commutator``, kept in one bounded memo, ``_COMMUTATORS``;
+``group-fast`` asks it too, for [[K, L], M] and its two rotations, and
+answers a trivial ternary commutator from them without a bracket grid.
 On a Heyting semilattice (``core._heyting_tables``) the commutator of
 two filters is their intersection (``higgins_binary``), and S is not
 built either.  The trace stays the route for every other signature, for
@@ -355,18 +357,27 @@ def _double_bracket_grid(mul: np.ndarray, inv: np.ndarray, A: np.ndarray,
 
 def _ternary_group_fast(D, mul, inv, K, L, M) -> CommutatorReport:
     """The normal closure, in the join of K, L and M, of the three
-    double-bracket grids.  When every double bracket is the identity the
-    closure is trivial, and it is answered before the join is built."""
+    double-bracket grids.
+
+    Whether every double bracket is the identity is read off the memo of
+    ``_group_commutator`` first, with no grid built: [[k, l], m] = 1 for
+    all k, l, m exactly when every [k, l] lies in the centraliser C(M),
+    and C(M) is a subgroup, so exactly when [K, L] ⊆ C(M), that is when
+    [[K, L], M] is trivial.  When that holds for all three rotations the
+    closure is trivial and is answered at once; otherwise the grids give
+    the seeds and the witnesses."""
+    bp = D.basepoint
+    if all(_group_commutator(D, mul, inv,
+                             _group_commutator(D, mul, inv, A, B), C).is_zero()
+           for A, B, C in ((K, L, M), (L, M, K), (M, K, L))):
+        return CommutatorReport(Subuniverse._trusted(D, (bp,)), "group-fast",
+                                complete=True)
     Km = np.asarray(K.members, dtype=np.int64)
     Lm = np.asarray(L.members, dtype=np.int64)
     Mm = np.asarray(M.members, dtype=np.int64)
-    bp = D.basepoint
     shapes = ((Km, Lm, Mm, "[[K,L],M]"), (Lm, Mm, Km, "[[L,M],K]"),
               (Mm, Km, Lm, "[[M,K],L]"))
     grids = [_double_bracket_grid(mul, inv, A, B, C) for A, B, C, _ in shapes]
-    if all((grid == bp).all() for grid in grids):
-        return CommutatorReport(Subuniverse._trusted(D, (bp,)), "group-fast",
-                                complete=True)
     join = generate_subuniverse(
         D, set(K.members) | set(L.members) | set(M.members))
     seeds: set[int] = {bp}
@@ -701,8 +712,11 @@ def commute_over(c: WeightedCospan, strategy: str = "proper-commutators", *,
         tern = _resolve_ternary_strategy(D, None)
         binary = higgins_binary(D, X, Y)
         ternary = higgins_ternary(D, X, Y, W, tern, term_depth=term_depth)
-        total = generate_subuniverse(
-            D, set(binary.members) | set(ternary.result.members))
+        # a subuniverse joined with a subset of itself is itself
+        total = binary
+        if not ternary.result.issubset(binary):
+            total = generate_subuniverse(
+                D, set(binary.members) | set(ternary.result.members))
         inside = set(total.members)
         witnesses = _trace_witnesses(binary)
         witnesses += tuple(w for w in ternary.witnesses

@@ -663,6 +663,9 @@ def power_closure(algebra: FinAlgebra, seeds: Iterable[Sequence[int]],
         if not seeds:
             raise ValidationError("power_closure needs seeds or a width")
         width = len(seeds[0])
+    if width < 1:
+        raise ValidationError(
+            f"power_closure needs a width of at least 1, not {width}")
     if set(map(len, seeds)) - {width}:
         raise ValidationError("seed width mismatch")
     rows = np.asarray(seeds, dtype=np.int64).reshape(-1, width)

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from commwb import _kernel_search as kernel_search, commutators, core
+from commwb.commutators import (_WITNESS_CAP, CommutatorReport,
+                                _double_bracket_grid)
+from commwb.core import Subuniverse, _sorted_distinct, generate_subuniverse
 from commwb.varieties import builtin_library
 
 # Per-criterion verdict lines queued by tests/test_acceptance.py; the
@@ -180,6 +183,49 @@ def brute_normal_closure(alg, seed_members) -> tuple[int, ...]:
         if grown == seeds:
             return tuple(sorted(grown))
         seeds = grown
+
+
+# ---------------------------------------------------------------------------
+# reference: group-fast with its three grids built on every triple
+
+
+def reference_group_fast(D, mul, inv, K, L, M) -> CommutatorReport:
+    """``higgins_ternary(D, K, L, M, "group-fast")`` as it was before the
+    trivial answer was read off the memo of [K, L]: the normal closure, in
+    the join of K, L and M, of the three double-bracket grids.  When every
+    double bracket is the identity the closure is trivial, and it is
+    answered before the join is built."""
+    Km = np.asarray(K.members, dtype=np.int64)
+    Lm = np.asarray(L.members, dtype=np.int64)
+    Mm = np.asarray(M.members, dtype=np.int64)
+    bp = D.basepoint
+    shapes = ((Km, Lm, Mm, "[[K,L],M]"), (Lm, Mm, Km, "[[L,M],K]"),
+              (Mm, Km, Lm, "[[M,K],L]"))
+    grids = [_double_bracket_grid(mul, inv, A, B, C) for A, B, C, _ in shapes]
+    if all((grid == bp).all() for grid in grids):
+        return CommutatorReport(Subuniverse._trusted(D, (bp,)), "group-fast",
+                                complete=True)
+    join = generate_subuniverse(
+        D, set(K.members) | set(L.members) | set(M.members))
+    seeds: set[int] = {bp}
+    witnesses = []
+    for (A, B, C, shape), grid in zip(shapes, grids):
+        seeds.update(_sorted_distinct(grid.ravel()).tolist())
+        if len(witnesses) < _WITNESS_CAP:
+            for ia, ib, ic in np.argwhere(grid != bp)[:_WITNESS_CAP]:
+                if len(witnesses) >= _WITNESS_CAP:
+                    break
+                witnesses.append(
+                    ("bracket", shape,
+                     (int(A[ia]), int(B[ib]), int(C[ic])),
+                     int(grid[ia, ib, ic])))
+    # the normal closure of the seeds in the join: the subgroup generated
+    # by their conjugates j·s·j⁻¹ over every j in the join
+    j, s = np.asarray(join.members), np.asarray(sorted(seeds))
+    result = generate_subuniverse(D, _sorted_distinct(
+        mul[mul[j[:, None], s[None, :]], inv[j][:, None]].ravel()))
+    return CommutatorReport(result, "group-fast", complete=True,
+                            witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

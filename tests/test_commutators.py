@@ -17,7 +17,8 @@ from commwb.core import (Congruence, FinAlgebra, Signature, Subuniverse,
 from commwb.sweeps import congruences, cyclic_subgroups, join_subs, subgroups
 from commwb.varieties import (chain_hslat, cyclic_group, dihedral_group,
                               symmetric_group)
-from conftest import brute_binary_commutator, clear_memos, is_diagonal
+from conftest import (brute_binary_commutator, clear_memos, is_diagonal,
+                      reference_group_fast)
 from sweep_inputs import library_algebras
 from test_core import _relabel
 
@@ -432,6 +433,31 @@ def test_word_oracle_equals_group_fast_on_every_subgroup_triple(lib):
                 (key, K.members, L.members, M.members)
 
 
+def test_group_fast_matches_the_grid_reference_on_every_catalogue_triple(
+        lib):
+    # the trivial answer is read off the memo of [K, L] and its rotations;
+    # the reference builds the three double-bracket grids on every triple.
+    # Each group's triples are asked in one pass just after the memos are
+    # cleared, then in two passes with the memos warm from all of them
+    def seen(r):
+        return r.result.members, r.strategy, r.complete, r.witnesses
+
+    triples = nontrivial = 0
+    for key, alg in library_algebras(lib, "groups"):
+        mul, inv = core._group_tables(alg)
+        ordered = list(itertools.product(subgroups(alg), repeat=3))
+        expected = [seen(reference_group_fast(alg, mul, inv, *t))
+                    for t in ordered]
+        clear_memos()
+        for _ in range(3):
+            for t, want in zip(ordered, expected):
+                assert seen(higgins_ternary(alg, *t, "group-fast")) == want, \
+                    (key, *(s.members for s in t))
+        triples += len(ordered)
+        nontrivial += sum(want[0] != (alg.basepoint,) for want in expected)
+    assert (triples, nontrivial) == (15172, 6881)
+
+
 def test_ternary_term_depth_lower_bounds(lib):
     c3 = lib.algebra("chain3")
     full = Subuniverse(c3, (0, 1, 2))
@@ -749,6 +775,47 @@ def test_commute_over_proper_strategy_on_a_proper_cospan():
     assert verdict is True
     assert rep.strategy.startswith("proper-commutators[")
     assert rep.complete
+
+
+def test_proper_commutators_is_the_join_of_binary_and_ternary(lib):
+    # commute_over skips the join when [X, Y, W] lies in [X, Y]; the
+    # reference always generates [X, Y] ∪ [X, Y, W].  Over groups, the
+    # 1,842 proper cyclic cospans of order at most 12; over chain3, chain4
+    # and diamond, where the ternary route is term-depth, the w-proper
+    # cospans of one-generated subalgebras
+    def cospans(D, subs):
+        incl = {s.members: s.inclusion_hom() for s in subs}
+        for X, Y, W in itertools.product(subs, repeat=3):
+            w = incl[W.members]
+            if is_w_normal(D, X, w) and is_w_normal(D, Y, w):
+                yield D, X, Y, W, WeightedCospan(
+                    x=incl[X.members], y=incl[Y.members], w=w)
+
+    def one_generated(D):
+        return [Subuniverse(D, m) for m in sorted(
+            {_sub(D, i).members for i in range(D.size)})]
+
+    def expected(D, X, Y, W):
+        cap, bp = commutators._WITNESS_CAP, D.basepoint
+        binary = higgins_binary(D, X, Y)
+        ternary = higgins_ternary(D, X, Y, W, "group-fast"
+                                  if core._group_tables(D) else "term-depth")
+        total = generate_subuniverse(
+            D, set(binary.members) | set(ternary.result.members))
+        trace = tuple(("trace", bp, bp, d) for d in binary.members
+                      if d != bp)[:cap]
+        return total.members, trace + ternary.witnesses[:cap]
+
+    groups = [c for _, alg in library_algebras(lib, "groups", 12)
+              for c in cospans(alg, cyclic_subgroups(alg))]
+    others = [c for key in ("chain3", "chain4", "diamond")
+              for c in cospans(lib.algebra(key),
+                               one_generated(lib.algebra(key)))]
+    assert (len(groups), len(others)) == (1842, 117)
+    for D, X, Y, W, c in groups + others:
+        _, report = commute_over(c, "proper-commutators")
+        assert (report.result.members, report.witnesses) == \
+            expected(D, X, Y, W), (D.name, X.members, Y.members, W.members)
 
 
 def test_commutator_report_witness_membership_enforced():

@@ -398,6 +398,17 @@ def test_power_closure_seeds_are_checked_as_before():
     assert power_closure(z4, [], width=2).tolist() == [[0, 0]]
 
 
+def test_power_closure_refuses_a_width_below_one():
+    # refused by name before the seeds are shaped, on a group and on a
+    # Heyting semilattice alike; the empty seed () gives width 0 too
+    for alg in (cyclic_group(4), chain_hslat(3)):
+        for seeds, width in (([], 0), ([], -1), ([()], None)):
+            shown = 0 if width is None else width
+            with pytest.raises(ValidationError,
+                               match=f"width of at least 1, not {shown}$"):
+                power_closure(alg, seeds, width)
+
+
 def test_closure_memo_hit_returns_the_same_read_only_rows():
     d4 = dihedral_group(4)
     seeds = [(1, 0, 1), (0, 2, 2)]
