@@ -578,10 +578,8 @@ def smith(D: FinAlgebra, R: Congruence, S: Congruence) -> Congruence:
     group = _group_tables(D)
     if group is not None:
         mul, inv = group
-        N = _group_commutator(D, mul, inv, normalise(R), normalise(S))
-        # x's block is the least member of its coset x·N
-        block = mul[:, np.asarray(N.members)].min(axis=1)
-        return Congruence._trusted(D, tuple(block.tolist()))
+        return core._cosets(
+            D, mul, _group_commutator(D, mul, inv, normalise(R), normalise(S)))
     if _heyting_tables(D) is not None:
         # the block of i is the least element with i's pair of blocks
         first: dict = {}
@@ -621,11 +619,10 @@ def _smith_fixpoint(D: FinAlgebra, R: Congruence, S: Congruence
 
 
 def normalise(theta: Congruence) -> Subuniverse:
-    """The basepoint block of a congruence, as a subuniverse."""
-    bp = theta.parent.basepoint
-    root = theta.block_id[bp]
-    members = tuple(i for i, r in enumerate(theta.block_id) if r == root)
-    return _basepoint_part(theta.parent, members)
+    """The basepoint block of a congruence, as a subuniverse, kept on it."""
+    return core._kept(theta, "_normal", lambda t: _basepoint_part(
+        t.parent, tuple(i for i, r in enumerate(t.block_id)
+                        if r == t.block_id[t.parent.basepoint])))
 
 
 # ---------------------------------------------------------------------------

@@ -446,16 +446,17 @@ def generate_congruence(algebra: FinAlgebra,
 
 def _normal_cosets(algebra: FinAlgebra, mul: np.ndarray, inv: np.ndarray,
                    gens: np.ndarray) -> Congruence:
-    """The congruence of a group whose blocks are the cosets x·N of the
-    normal closure N = <g s g⁻¹ : g in the group, s in ``gens``>, with
-    ``block_id[x]`` = min(x·N).  Cosets of a normal subgroup are
-    compatible with mul and inv, and the least member of each block is
-    its id, so the result is canonical and needs no re-check."""
+    """The ``_cosets`` of the normal closure <g s g⁻¹ : s in ``gens``>."""
     g = np.arange(algebra.size)
     s = _sorted_distinct(gens.ravel())
-    normal = generate_subuniverse(
-        algebra, mul[mul[g[:, None], s[None, :]], inv[g][:, None]].ravel())
-    block = mul[:, np.asarray(normal.members)].min(axis=1)
+    return _cosets(algebra, mul, generate_subuniverse(
+        algebra, mul[mul[g[:, None], s[None, :]], inv[g][:, None]].ravel()))
+
+
+def _cosets(algebra: FinAlgebra, mul: np.ndarray, N: Subuniverse):
+    """The congruence of a group with the cosets x·N of a normal subgroup
+    N as blocks, ``block_id[x]`` = min(x·N): canonical and compatible."""
+    block = mul[:, np.asarray(N.members)].min(axis=1)
     return Congruence._trusted(algebra, tuple(block.tolist()))
 
 

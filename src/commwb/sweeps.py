@@ -12,12 +12,14 @@ joined once with each member above the bottom, and one already held adds
 nothing.  Cost: the generators, plus at most (generators) x (lattice size)
 joins.
 
-* subgroups: the joins of the cyclic subgroups.
-* congruences: the joins of the principal congruences (Burris–
-  Sankappanavar, *A Course in Universal Algebra*, ch. II §5).  On a group,
-  Cg(a, b) = Cg(e, a⁻¹b), and on a Heyting semilattice Cg(a, b) =
-  Cg(top, (a→b)∧(b→a)), so the n - 1 pairs with the basepoint give every
-  principal congruence; elsewhere all n(n - 1)/2 pairs are tried.
+* subgroups: the joins of the cyclic subgroups, read off powers.
+* congruences: on a group, the cosets (``core._cosets``) of the normal
+  subgroups (Burris–Sankappanavar, *A Course in Universal Algebra*, ch. II
+  §5), each a join of normal closures of cyclic subgroups, one closure per
+  conjugacy class, as conjugate subgroups have the same normal closure.
+  Elsewhere, the joins of the principal congruences: on a Heyting
+  semilattice Cg(a, b) = Cg(top, (a→b)∧(b→a)), so the n - 1 pairs with
+  the top are enough; otherwise all n(n - 1)/2 pairs are tried.
 
 Both are intended for carriers of a few dozen elements at most; nothing
 here tries to be clever beyond that scale.
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
-                   _group_tables, _heyting_tables, _require_group,
+                   _cosets, _group_tables, _heyting_tables, _require_group,
                    generate_congruence, generate_subuniverse)
 
 __all__ = [
@@ -63,41 +67,59 @@ def _joins(bottom, gens, join, key):
     return found.values()
 
 
+def _subgroup_joins(algebra: FinAlgebra, gens) -> list[Subuniverse]:
+    """The joins of the subgroups ``gens``, sorted by size then members."""
+    found = _joins(generate_subuniverse(algebra, []), gens,
+                   lambda s, t: join_subs(algebra, s, t), lambda s: s.members)
+    return sorted(found, key=lambda s: (len(s.members), s.members))
+
+
 def subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
     """Every subgroup of a finite group, as a join of cyclic subgroups,
     sorted by size then members; an algebra that fails the check of
     ``core._group_tables`` is refused."""
     _require_group(algebra, "subgroup enumeration")
-    found = _joins(generate_subuniverse(algebra, []),
-                   cyclic_subgroups(algebra),
-                   lambda s, t: join_subs(algebra, s, t),
-                   lambda s: s.members)
-    return tuple(sorted(found, key=lambda s: (len(s.members), s.members)))
+    return tuple(_subgroup_joins(algebra, cyclic_subgroups(algebra)))
+
+
+def _cyclic(algebra: FinAlgebra, mul: np.ndarray):
+    """``inside[g, x]``: x is one of g^1 ... g^n, which are <g> as g has
+    order at most n; ``least[g]``: the least generator of <g>."""
+    x = np.arange(algebra.size)
+    inside, power = np.zeros((x.size, x.size), dtype=bool), x
+    for _ in x:
+        inside[x, power] = True
+        power = mul[power, x]
+    return inside, (inside & inside.T).argmax(axis=1)
 
 
 def cyclic_subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
-    """Groups only: the subgroups generated by one element, and {e}."""
-    _require_group(algebra, "cyclic subgroup enumeration")
-    found: dict[tuple[int, ...], Subuniverse] = {}
-    for g in range(algebra.size):
-        sub = generate_subuniverse(algebra, [g])
-        found.setdefault(sub.members, sub)
-    return tuple(sorted(found.values(),
-                        key=lambda s: (len(s.members), s.members)))
+    """Groups only: every subgroup generated by one element, no closure."""
+    mul, _ = _require_group(algebra, "cyclic subgroup enumeration")
+    inside, least = _cyclic(algebra, mul)
+    subs = [Subuniverse._trusted(algebra, tuple(np.flatnonzero(row).tolist()))
+            for row in inside[least == np.arange(algebra.size)]]
+    return tuple(sorted(subs, key=lambda s: (len(s.members), s.members)))
 
 
 def congruences(algebra: FinAlgebra) -> tuple[Congruence, ...]:
-    """The whole congruence lattice, as the joins of principal members,
-    sorted by canonical block-id tuple: the total congruence first, the
-    diagonal last."""
+    """The whole congruence lattice, sorted by canonical block-id tuple:
+    the total congruence first, the diagonal last."""
+    if (group := _group_tables(algebra)) is not None:
+        mul, inv = group
+        y = np.arange(algebra.size)
+        conj = mul[mul[y[:, None], y], inv[:, None]]  # [y, g]: y g y⁻¹
+        # named: g is the least of the least generators of all <y g y⁻¹>
+        named = _cyclic(algebra, mul)[1][conj].min(axis=0) == y
+        normal = _subgroup_joins(algebra, (
+            generate_subuniverse(algebra, conj[:, g])
+            for g in np.flatnonzero(named) if g != algebra.basepoint))
+        return tuple(sorted((_cosets(algebra, mul, N) for N in normal),
+                            key=lambda t: t.block_id))
     pairs = itertools.combinations(range(algebra.size), 2)
-    if _group_tables(algebra) is not None \
-            or _heyting_tables(algebra) is not None:
-        # a ~ b exactly when e ~ a⁻¹b, so Cg(a, b) = Cg(e, a⁻¹b); on a
-        # Heyting semilattice Cg(a, b) = Cg(top, (a→b)∧(b→a)), and every x
-        # is (x→top)∧(top→x)
-        e = algebra.basepoint
-        pairs = ((e, g) for g in range(algebra.size) if g != e)
+    if _heyting_tables(algebra) is not None:
+        top = algebra.basepoint  # every x is (x→top)∧(top→x)
+        pairs = ((top, x) for x in range(algebra.size) if x != top)
     found = _joins(
         generate_congruence(algebra, []),
         (generate_congruence(algebra, [p]) for p in pairs),

@@ -11,8 +11,8 @@ from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
                            subgroups)
 from commwb.varieties import (builtin_library, cyclic_group, dihedral_group,
                               symmetric_group)
-from conftest import (brute_congruences, reference_congruences,
-                      reference_subgroups)
+from conftest import (brute_congruences, brute_generated_subgroup,
+                      reference_congruences, reference_subgroups)
 from sweep_inputs import library_algebras, sample_subgroup_triples
 from test_core import _relabel
 
@@ -88,16 +88,30 @@ def test_congruence_enumeration_matches_brute_partitions(lib):
 
 def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
         monkeypatch, lib):
-    # the sweep generates the principal congruences of the pairs (e, g)
-    # only, and must still find every normal subgroup's coset partition
-    principal = []
+    # the sweep asks no generate_congruence on a group and takes one normal
+    # closure per conjugacy class of nontrivial cyclic subgroups, outside
+    # the joins, and must still find every normal subgroup's coset partition
+    def refuse(*args):
+        raise AssertionError("generate_congruence on a group")
 
-    def generate(algebra, pairs):
-        if len(pairs) == 1:
-            principal.append(pairs[0])
-        return generate_congruence(algebra, pairs)
+    closures, joining = [], []
 
-    monkeypatch.setattr(sweeps, "generate_congruence", generate)
+    def generate(algebra, gens):
+        gens = [int(x) for x in gens]
+        if gens and not joining:
+            closures.append(gens)
+        return generate_subuniverse(algebra, gens)
+
+    def join(algebra, *subs):
+        joining.append(subs)
+        try:
+            return join_subs(algebra, *subs)
+        finally:
+            joining.pop()
+
+    monkeypatch.setattr(sweeps, "generate_congruence", refuse)
+    monkeypatch.setattr(sweeps, "generate_subuniverse", generate)
+    monkeypatch.setattr(sweeps, "join_subs", join)
     for key, alg in library_algebras(lib, "groups"):
         mul, inv = alg.tables["mul"], alg.tables["inv"]
         g = np.arange(alg.size)[:, None]
@@ -106,10 +120,26 @@ def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
             m = np.asarray(N.members)
             if set(mul[mul[g, m], inv[g]].ravel().tolist()) <= set(N.members):
                 want.add(tuple(mul[:, m].min(axis=1).tolist()))
-        principal.clear()
-        assert {t.block_id for t in congruences(alg)} == want, key
+
+        def conjugates(x):
+            return [int(mul[mul[y, x], inv[y]]) for y in range(alg.size)]
+
+        def cyclic_class(x):
+            # the conjugates of <x>, by raw table chasing
+            cyc = brute_generated_subgroup(alg, [x])
+            return frozenset(
+                frozenset(int(mul[mul[y, c], inv[y]]) for c in cyc)
+                for y in range(alg.size))
+
         e = alg.basepoint
-        assert principal == [(e, x) for x in range(alg.size) if x != e], key
+        classes = {cyclic_class(x) for x in range(alg.size) if x != e}
+        closures.clear()
+        assert {t.block_id for t in congruences(alg)} == want, key
+        named = []
+        for gens in closures:
+            assert gens == conjugates(gens[e]), key
+            named.append(cyclic_class(gens[e]))
+        assert len(named) == len(classes) and set(named) == classes, key
 
 
 def test_heyting_congruences_are_the_filter_congruences(monkeypatch, lib):
@@ -147,6 +177,15 @@ def test_congruences_match_the_join_closure_reference(lib, key):
     for alg in _relabellings(lib.algebra(key)):
         assert [t.block_id for t in congruences(alg)] == \
             reference_congruences(alg), key
+
+
+@pytest.mark.parametrize("key", GROUPS)
+def test_cyclic_subgroups_match_the_single_generator_closures(lib, key):
+    for alg in _relabellings(lib.algebra(key)):
+        want = {generate_subuniverse(alg, [g]).members
+                for g in range(alg.size)}
+        got = [s.members for s in cyclic_subgroups(alg)]
+        assert got == sorted(want, key=lambda m: (len(m), m)), key
 
 
 @pytest.mark.parametrize("key", GROUPS)
