@@ -5,21 +5,20 @@ of a small group and every congruence of a small algebra.  This module
 produces both deterministically — results come back in a canonical order —
 so sweep outcomes are stable across runs.
 
-Enumeration strategy: both lattices are the joins of their generators,
-found in one pass (``_joins``).  After each generator, the pass holds the
-join of every set of the generators seen so far, so a new generator is
-joined once with each member above the bottom, and one already held adds
-nothing.  Cost: the generators, plus at most (generators) x (lattice size)
-joins.
+Enumeration strategy: a lattice is the joins of its generators, found in
+one pass (``_joins``).  After each generator, the pass holds the join of
+every set of the generators seen so far, so a new generator is joined once
+with each member above the bottom, and one already held adds nothing.
+Cost: the generators, plus at most (generators) x (lattice size) joins.
 
 * subgroups: the joins of the cyclic subgroups, read off powers.
 * congruences: on a group, the cosets (``core._cosets``) of the normal
   subgroups (Burris–Sankappanavar, *A Course in Universal Algebra*, ch. II
-  §5), each a join of normal closures of cyclic subgroups, one closure per
-  conjugacy class, as conjugate subgroups have the same normal closure.
-  Elsewhere, the joins of the principal congruences: on a Heyting
-  semilattice Cg(a, b) = Cg(top, (a→b)∧(b→a)), so the n - 1 pairs with
-  the top are enough; otherwise all n(n - 1)/2 pairs are tried.
+  §5): the product sets N·M of normal closures of cyclic subgroups, one
+  per conjugacy class, as conjugates have one normal closure.  On a
+  Heyting semilattice, congruences match filters (Nemitz, *Implicative
+  semi-lattices*, Trans. AMS 117, 1965), each ↑a when finite, with x ~ y
+  iff x∧a = y∧a: one per meet column.  Elsewhere, the principal ones.
 
 Both are intended for carriers of a few dozen elements at most; nothing
 here tries to be clever beyond that scale.
@@ -33,7 +32,7 @@ import numpy as np
 
 from .core import (Congruence, FinAlgebra, Subuniverse, ValidationError,
                    _cosets, _group_tables, _heyting_tables, _require_group,
-                   generate_congruence, generate_subuniverse)
+                   _sorted_distinct, generate_congruence, generate_subuniverse)
 
 __all__ = [
     "subgroups",
@@ -67,19 +66,15 @@ def _joins(bottom, gens, join, key):
     return found.values()
 
 
-def _subgroup_joins(algebra: FinAlgebra, gens) -> list[Subuniverse]:
-    """The joins of the subgroups ``gens``, sorted by size then members."""
-    found = _joins(generate_subuniverse(algebra, []), gens,
-                   lambda s, t: join_subs(algebra, s, t), lambda s: s.members)
-    return sorted(found, key=lambda s: (len(s.members), s.members))
-
-
 def subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
     """Every subgroup of a finite group, as a join of cyclic subgroups,
     sorted by size then members; an algebra that fails the check of
     ``core._group_tables`` is refused."""
     _require_group(algebra, "subgroup enumeration")
-    return tuple(_subgroup_joins(algebra, cyclic_subgroups(algebra)))
+    found = _joins(generate_subuniverse(algebra, []),
+                   cyclic_subgroups(algebra),
+                   lambda s, t: join_subs(algebra, s, t), lambda s: s.members)
+    return tuple(sorted(found, key=lambda s: (len(s.members), s.members)))
 
 
 def _cyclic(algebra: FinAlgebra, mul: np.ndarray):
@@ -104,26 +99,31 @@ def cyclic_subgroups(algebra: FinAlgebra) -> tuple[Subuniverse, ...]:
 
 def congruences(algebra: FinAlgebra) -> tuple[Congruence, ...]:
     """The whole congruence lattice, sorted by canonical block-id tuple:
-    the total congruence first, the diagonal last."""
+    the total congruence first, the diagonal last; routes as above."""
     if (group := _group_tables(algebra)) is not None:
         mul, inv = group
         y = np.arange(algebra.size)
         conj = mul[mul[y[:, None], y], inv[:, None]]  # [y, g]: y g y⁻¹
         # named: g is the least of the least generators of all <y g y⁻¹>
         named = _cyclic(algebra, mul)[1][conj].min(axis=0) == y
-        normal = _subgroup_joins(algebra, (
-            generate_subuniverse(algebra, conj[:, g])
-            for g in np.flatnonzero(named) if g != algebra.basepoint))
-        return tuple(sorted((_cosets(algebra, mul, N) for N in normal),
-                            key=lambda t: t.block_id))
-    pairs = itertools.combinations(range(algebra.size), 2)
-    if _heyting_tables(algebra) is not None:
-        top = algebra.basepoint  # every x is (x→top)∧(top→x)
-        pairs = ((top, x) for x in range(algebra.size) if x != top)
-    found = _joins(
-        generate_congruence(algebra, []),
-        (generate_congruence(algebra, [p]) for p in pairs),
-        lambda s, t: generate_congruence(
-            algebra, s.spanning_pairs() + t.spanning_pairs()),
-        lambda t: t.block_id)
+        normal = _joins(
+            Subuniverse._trusted(algebra, (algebra.basepoint,)),
+            (generate_subuniverse(algebra, conj[:, g])
+             for g in np.flatnonzero(named) if g != algebra.basepoint),
+            lambda N, M: Subuniverse._trusted(algebra, tuple(_sorted_distinct(
+                mul[np.ix_(N.members, M.members)].ravel()).tolist())),
+            lambda N: N.members)
+        found = [_cosets(algebra, mul, N) for N in normal]
+    elif (heyting := _heyting_tables(algebra)) is not None:
+        meet = heyting[0]  # row a below: per x, the least y with y∧a = x∧a
+        least = (meet[:, None] == meet).argmax(axis=0).T.tolist()
+        found = [Congruence._trusted(algebra, tuple(c)) for c in least]
+    else:
+        found = _joins(
+            generate_congruence(algebra, []),
+            (generate_congruence(algebra, [p])
+             for p in itertools.combinations(range(algebra.size), 2)),
+            lambda s, t: generate_congruence(
+                algebra, s.spanning_pairs() + t.spanning_pairs()),
+            lambda t: t.block_id)
     return tuple(sorted(found, key=lambda t: t.block_id))

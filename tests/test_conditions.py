@@ -1,5 +1,7 @@
 """Condition checkers, admissibility, and the bundled example fixtures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from commwb.conditions import (AdmissibleDiagram, ConditionVerdict,
 from commwb.core import (PointObject, ValidationError, check_hom,
                          generate_congruence, generate_subuniverse,
                          identity_hom, zero_hom)
+from commwb.sweeps import subgroups
 from commwb.varieties import cyclic_group, symmetric_group
-from conftest import reference_fill_in
-from sweep_inputs import fill_in_diagrams
+from conftest import brute_generated_subgroup, reference_fill_in
+from sweep_inputs import fill_in_diagrams, library_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +265,52 @@ def test_w_vacuous_when_legs_do_not_commute():
     c = WeightedCospan(x=x, y=y, w=identity_hom(s3))
     verdict = check_w_instance(c)
     assert not verdict.hypothesis_holds and verdict.instance_satisfies
+
+
+def _nilpotency_class(alg):
+    """The least c with a trivial term γ(c+1) of the lower central series
+    γ1 = G, γ(i+1) = <[x, g] : x in γi, g in G>, by raw table chasing;
+    None when the series stops above {e}, as it does in a group that is
+    not nilpotent."""
+    mul, inv = alg.tables["mul"], alg.tables["inv"]
+    series = [tuple(range(alg.size))]
+    while series[-1] != (alg.basepoint,):
+        step = brute_generated_subgroup(alg, {
+            int(mul[mul[inv[x], inv[g]], mul[x, g]])
+            for x in series[-1] for g in range(alg.size)})
+        if step == series[-1]:
+            return None
+        series.append(step)
+    return len(series) - 1
+
+
+# the instances of (W) that fail, per catalogue group, over every ordered
+# triple (X, Y, W) of subgroup inclusions
+_W_FAILURES = {"S3": 12, "A4": 32, "D5": 30, "D6": 297, "D8": 324,
+               "Dic3": 15}
+
+
+def test_w_fails_exactly_on_the_groups_above_nilpotency_class_two(lib):
+    # the weighted commutator is independent of the weight in a two-nilpotent
+    # semi-abelian category, and not in groups: over every subgroup triple
+    # of the catalogue groups, (W) fails exactly where the class is above 2
+    triples = hypotheses = 0
+    failures, above_two = {}, set()
+    for key, alg in library_algebras(lib, "groups"):
+        c = _nilpotency_class(alg)
+        if c is None or c > 2:
+            above_two.add(key)
+        incl = [S.inclusion_hom() for S in subgroups(alg)]
+        for x, y, w in itertools.product(incl, repeat=3):
+            verdict = check_w_instance(WeightedCospan(x=x, y=y, w=w))
+            assert verdict.complete, (key, x.map, y.map, w.map)
+            triples += 1
+            hypotheses += verdict.hypothesis_holds
+            if not verdict.instance_satisfies:
+                failures[key] = failures.get(key, 0) + 1
+    assert (triples, hypotheses) == (15172, 5961)
+    assert failures == _W_FAILURES
+    assert set(failures) == above_two
 
 
 # ---------------------------------------------------------------------------

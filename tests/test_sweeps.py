@@ -1,12 +1,15 @@
 """Subgroup/congruence enumeration sweeps and the triple sampler."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from commwb import sweeps
 from commwb.core import (FinAlgebra, Signature, ValidationError,
-                         _group_tables, _heyting_tables, generate_congruence,
-                         generate_subuniverse)
+                         _group_tables, _heyting_tables, generate_subuniverse)
 from commwb.sweeps import (congruences, cyclic_subgroups, join_subs,
                            subgroups)
 from commwb.varieties import (builtin_library, cyclic_group, dihedral_group,
@@ -88,30 +91,21 @@ def test_congruence_enumeration_matches_brute_partitions(lib):
 
 def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
         monkeypatch, lib):
-    # the sweep asks no generate_congruence on a group and takes one normal
-    # closure per conjugacy class of nontrivial cyclic subgroups, outside
-    # the joins, and must still find every normal subgroup's coset partition
-    def refuse(*args):
-        raise AssertionError("generate_congruence on a group")
+    # the sweep asks no generate_congruence and no join_subs on a group; its
+    # only closures are one normal closure per conjugacy class of nontrivial
+    # cyclic subgroups (the bottom {e} and the joins N·M take none), and it
+    # must still find every normal subgroup's coset partition
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} on a group")
+        return call
 
-    closures, joining = [], []
+    closures = []
 
     def generate(algebra, gens):
-        gens = [int(x) for x in gens]
-        if gens and not joining:
-            closures.append(gens)
+        closures.append([int(x) for x in gens])
         return generate_subuniverse(algebra, gens)
 
-    def join(algebra, *subs):
-        joining.append(subs)
-        try:
-            return join_subs(algebra, *subs)
-        finally:
-            joining.pop()
-
-    monkeypatch.setattr(sweeps, "generate_congruence", refuse)
-    monkeypatch.setattr(sweeps, "generate_subuniverse", generate)
-    monkeypatch.setattr(sweeps, "join_subs", join)
     for key, alg in library_algebras(lib, "groups"):
         mul, inv = alg.tables["mul"], alg.tables["inv"]
         g = np.arange(alg.size)[:, None]
@@ -134,35 +128,53 @@ def test_group_congruences_are_the_cosets_of_the_normal_subgroups(
         e = alg.basepoint
         classes = {cyclic_class(x) for x in range(alg.size) if x != e}
         closures.clear()
-        assert {t.block_id for t in congruences(alg)} == want, key
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, "generate_congruence",
+                          refuse("generate_congruence"))
+            patch.setattr(sweeps, "join_subs", refuse("join_subs"))
+            patch.setattr(sweeps, "generate_subuniverse", generate)
+            assert {t.block_id for t in congruences(alg)} == want, key
         named = []
         for gens in closures:
-            assert gens == conjugates(gens[e]), key
+            assert gens and gens == conjugates(gens[e]), key
             named.append(cyclic_class(gens[e]))
         assert len(named) == len(classes) and set(named) == classes, key
 
 
 def test_heyting_congruences_are_the_filter_congruences(monkeypatch, lib):
-    # the sweep generates the principal congruences of the pairs (top, x)
-    # only, and must still find every congruence x ~ y iff a∧x = a∧y of a
-    # principal filter ↑a (Nemitz, Implicative semi-lattices, 1965)
-    principal = []
+    # the sweep generates no congruence, and must still find every
+    # congruence x ~ y iff a∧x = a∧y of a principal filter ↑a (Nemitz,
+    # Implicative semi-lattices, 1965), one per element a
+    def refuse(*args):
+        raise AssertionError("generate_congruence on a Heyting semilattice")
 
-    def generate(algebra, pairs):
-        if len(pairs) == 1:
-            principal.append(pairs[0])
-        return generate_congruence(algebra, pairs)
-
-    monkeypatch.setattr(sweeps, "generate_congruence", generate)
+    monkeypatch.setattr(sweeps, "generate_congruence", refuse)
     for key, alg in library_algebras(lib, "hslat"):
         meet, _ = _heyting_tables(alg)
         want = {tuple(int(np.argmax(row == v)) for v in row)
                 for row in meet}
-        principal.clear()
-        assert {t.block_id for t in congruences(alg)} == want, key
-        top = alg.basepoint
-        assert principal == [(top, x) for x in range(alg.size)
-                             if x != top], key
+        got = [t.block_id for t in congruences(alg)]
+        assert len(got) == alg.size and set(got) == want, key
+
+
+def test_a_congruence_sweep_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, 13-27 ms at the first
+    # group with a join, more than the rest of the sweep; the product sets
+    # N·M take core._sorted_distinct instead
+    code = """if True:
+        import sys
+        from commwb.sweeps import congruences
+        from commwb.varieties import builtin_library
+        lib = builtin_library()
+        keys = [key for key, profile in lib.algebra_profile.items()
+                if profile in ("groups", "hslat")]
+        found = sum(len(congruences(lib.algebra(key))) for key in keys)
+        print(len(keys), found, "numpy.ma" in sys.modules)"""
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["33", "127", "False"]
 
 
 def _relabellings(alg):
@@ -172,7 +184,8 @@ def _relabellings(alg):
                     for _ in range(3)]
 
 
-@pytest.mark.parametrize("key", CARRIERS)
+@pytest.mark.parametrize("key", CARRIERS + [
+    key for key in sorted(_LIBRARY.algebras) if key.startswith("paper/hslat-")])
 def test_congruences_match_the_join_closure_reference(lib, key):
     for alg in _relabellings(lib.algebra(key)):
         assert [t.block_id for t in congruences(alg)] == \
@@ -230,11 +243,15 @@ def test_random_algebras_have_more_than_two_congruences_often():
     assert sum(c > 2 for c in counts) >= 16, counts
 
 
-@pytest.mark.parametrize("key", ["S3", "D4", "A4", "chain3xchain3",
-                                 "diamond"])
-def test_every_join_combines_two_members_above_the_bottom(monkeypatch, lib,
-                                                          key):
-    alg = lib.algebra(key)
+# the groups take the subgroup joins, the random algebras, each with more
+# than two congruences, the principal-congruence joins
+_JOIN_CASES = {**{key: _LIBRARY.algebra(key) for key in ("S3", "D4", "A4")},
+               **{f"random{seed}": _random_algebra(seed) for seed in (5, 18)}}
+
+
+@pytest.mark.parametrize("key", list(_JOIN_CASES))
+def test_every_join_combines_two_members_above_the_bottom(monkeypatch, key):
+    alg = _JOIN_CASES[key]
     calls = []
     joins = sweeps._joins
 
@@ -245,7 +262,7 @@ def test_every_join_combines_two_members_above_the_bottom(monkeypatch, lib,
         return joins(bottom, gens, logged, ident)
 
     monkeypatch.setattr(sweeps, "_joins", recording)
-    congruences(alg)
+    assert len(congruences(alg)) > 2
     if _group_tables(alg) is not None:
         subgroups(alg)
     assert calls
